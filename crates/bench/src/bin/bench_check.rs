@@ -34,13 +34,15 @@
 //! It writes a separate `BENCH_solver.json` so the schema of
 //! `BENCH_check.json` stays stable for downstream comparisons.
 //!
-//! The solver workload also times the **batched SoA sweep** kernels
-//! (`batch_sweep_perlane`, `batch_sweep_shared`): the same occupancy grid
-//! propagated by one Dopri5 drive over a K × B structure-of-arrays state.
-//! Their `rhs_evals` is the drive's `batch_rhs_calls` — the number of
+//! The solver workload also times the **batched SoA sweep** kernel
+//! (`batch_sweep_perlane`): the same occupancy grid propagated by one
+//! drive over a K × B structure-of-arrays state, per-lane controllers.
+//! Its `rhs_evals` is the drive's `batch_rhs_calls` — the number of
 //! batched kernel invocations — and the JSON additionally records
-//! `batch_width`, `detached`, `restarts`, and the per-lane
-//! accepted/rejected/rhs-eval tallies.
+//! `batch_width` and `detached`. Both `meanfield_fresh` and the batch
+//! kernel list per-lane tallies: initial infected share,
+//! accepted/rejected steps, RHS evaluations, and stiffness hand-offs
+//! (`stiff_switches`, the lanes that fell onto the Setting-2 guard floor).
 //!
 //! Both reports are stamped with the git revision and the machine's
 //! available parallelism. `--baseline <path>` compares the serial
@@ -70,7 +72,7 @@ use mfcsl_ctmc::inhomogeneous::{
 };
 use mfcsl_math::{alloc_counter, Matrix};
 use mfcsl_models::virus;
-use mfcsl_ode::{BatchMode, OdeOptions, SolverWorkspace};
+use mfcsl_ode::{OdeOptions, SolverWorkspace};
 use mfcsl_pool::ThreadPool;
 use mfcsl_sim::{lumped, ssa};
 
@@ -106,18 +108,24 @@ struct KernelReport {
     accepted_steps: usize,
     allocations: u64,
     peak_bytes: u64,
-    /// Present for the `batch_sweep_*` kernels: drive counters and the
-    /// per-lane controller tallies of the batched solve.
+    /// Present for the batched kernel: drive counters.
     batch: Option<BatchDetail>,
+    /// Per-lane tallies of the sweep kernels, in grid order; empty for the
+    /// other kernels.
+    lanes: Vec<LaneTally>,
 }
 
 /// Drive-level counters of one batched kernel.
 struct BatchDetail {
     width: usize,
     detached: usize,
-    restarts: usize,
-    /// `(lane, accepted, rejected, rhs_evals)` per lane, in input order.
-    lanes: Vec<(usize, usize, usize, usize)>,
+}
+
+/// One lane of a sweep kernel: its initial infected share and its solve's
+/// counters.
+struct LaneTally {
+    infected: f64,
+    stats: mfcsl_ode::SolveStats,
 }
 
 fn main() {
@@ -433,23 +441,39 @@ fn timed_kernel(
         allocations: d.allocations,
         peak_bytes: d.peak_bytes,
         batch: None,
+        lanes: Vec::new(),
     }
 }
 
-/// [`timed_kernel`] for the batched kernels: `f` additionally returns the
-/// drive counters and per-lane tallies recorded in the report.
-fn timed_batch_kernel(
+/// [`timed_kernel`] for the sweep kernels: `f` returns each lane's solve
+/// statistics (summed into the report's counters, listed per lane) and,
+/// for the batched kernel, the drive counters, whose `batch_rhs_calls`
+/// replaces the summed evaluations as the kernel's `rhs_evals`.
+fn timed_sweep_kernel(
     name: impl Into<String>,
     description: String,
-    f: impl FnOnce() -> ((usize, usize), BatchDetail),
+    infected: &[f64],
+    f: impl FnOnce() -> (Vec<mfcsl_ode::SolveStats>, Option<(usize, BatchDetail)>),
 ) -> KernelReport {
-    let mut detail = None;
+    let mut lanes = Vec::new();
+    let mut batch = None;
     let mut report = timed_kernel(name, description, || {
-        let (counters, d) = f();
-        detail = Some(d);
-        counters
+        let (stats, detail) = f();
+        let accepted = stats.iter().map(|s| s.accepted).sum();
+        let rhs_evals = match &detail {
+            Some((calls, _)) => *calls,
+            None => stats.iter().map(|s| s.rhs_evals).sum(),
+        };
+        lanes = stats;
+        batch = detail.map(|(_, d)| d);
+        (rhs_evals, accepted)
     });
-    report.batch = detail;
+    report.lanes = infected
+        .iter()
+        .zip(lanes)
+        .map(|(&infected, stats)| LaneTally { infected, stats })
+        .collect();
+    report.batch = batch;
     report
 }
 
@@ -461,11 +485,12 @@ fn solver_workload(smoke: bool) -> Vec<KernelReport> {
         virus::model(virus::setting_2(), virus::InfectionLaw::SmartVirus).expect("valid params");
     let grid = if smoke { 3 } else { 12 };
     let theta = if smoke { 5.0 } else { 15.0 };
-    let m0s: Vec<Occupancy> = (1..=grid)
-        .map(|i| {
-            let infected = 0.5 * f64::from(i) / f64::from(grid);
-            Occupancy::new(vec![1.0 - infected, infected / 2.0, infected / 2.0]).expect("valid")
-        })
+    let infected: Vec<f64> = (1..=grid)
+        .map(|i| 0.5 * f64::from(i) / f64::from(grid))
+        .collect();
+    let m0s: Vec<Occupancy> = infected
+        .iter()
+        .map(|&x| Occupancy::new(vec![1.0 - x, x / 2.0, x / 2.0]).expect("valid"))
         .collect();
     let opts = OdeOptions::default();
     let stats_of = |t: &mfcsl_ode::Trajectory| (t.stats().rhs_evals, t.stats().accepted);
@@ -476,18 +501,24 @@ fn solver_workload(smoke: bool) -> Vec<KernelReport> {
 
     let mut kernels = Vec::new();
 
-    kernels.push(timed_kernel(
+    kernels.push(timed_sweep_kernel(
         "meanfield_fresh",
         format!(
             "mean-field solve (Eq. 1) of Setting 2 over {grid} initial occupancies to \
              theta = {theta}, fresh solver workspace per solve"
         ),
+        &infected,
         || {
-            m0s.iter().fold((0, 0), |(rhs, acc), m0| {
-                let sol = meanfield::solve(&model, m0, theta, &opts).expect("solves");
-                let s = sol.trajectory().stats();
-                (rhs + s.rhs_evals, acc + s.accepted)
-            })
+            let stats = m0s
+                .iter()
+                .map(|m0| {
+                    meanfield::solve(&model, m0, theta, &opts)
+                        .expect("solves")
+                        .trajectory()
+                        .stats()
+                })
+                .collect();
+            (stats, None)
         },
     ));
 
@@ -507,57 +538,38 @@ fn solver_workload(smoke: bool) -> Vec<KernelReport> {
     ));
 
     // The same sweep as one structure-of-arrays batch: all occupancies ride
-    // one Dopri5 drive. `rhs_evals` here is `batch_rhs_calls` — the number
-    // of K×B kernel invocations that propagated the whole sweep, the
-    // batched analogue of the scalar counter and the number the verify
-    // budget compares against a single scalar solve.
-    for (mode, mode_name, mode_desc) in [
-        (
-            BatchMode::PerLane,
-            "batch_sweep_perlane",
-            "per-lane controllers — every lane bitwise identical to its scalar solve",
+    // one drive with per-lane controllers. `rhs_evals` here is
+    // `batch_rhs_calls` — the number of K×B kernel invocations that
+    // propagated the whole sweep, explicit and implicit, the batched
+    // analogue of the scalar counter and the number the verify budget
+    // compares against a single scalar solve.
+    kernels.push(timed_sweep_kernel(
+        "batch_sweep_perlane",
+        format!(
+            "the same {grid}-occupancy sweep as one batched SoA drive, per-lane controllers \
+             — every lane bitwise identical to its scalar solve, stiff lanes finished in \
+             lockstep by the implicit stepper; rhs_evals counts batched K x B kernel \
+             invocations"
         ),
-        (
-            BatchMode::Shared,
-            "batch_sweep_shared",
-            "one shared controller (error norm = max over lanes) — one accept/reject \
-             decision propagates the whole sweep",
-        ),
-    ] {
-        kernels.push(timed_batch_kernel(
-            mode_name,
-            format!(
-                "the same {grid}-occupancy sweep as one batched SoA drive, {mode_desc}; \
-                 rhs_evals counts batched K x B kernel invocations"
-            ),
-            || {
-                let sweep =
-                    meanfield::solve_batch(&model, &m0s, theta, &opts, mode).expect("solves");
-                let lanes: Vec<(usize, usize, usize, usize)> = sweep
-                    .lanes
-                    .iter()
-                    .enumerate()
-                    .map(|(lane, r)| {
-                        let s = r
-                            .as_ref()
-                            .map(|(t, _)| t.trajectory().stats())
-                            .unwrap_or_default();
-                        (lane, s.accepted, s.rejected, s.rhs_evals)
-                    })
-                    .collect();
-                let accepted = lanes.iter().map(|&(_, a, _, _)| a).sum();
-                (
-                    (sweep.stats.batch_rhs_calls, accepted),
-                    BatchDetail {
-                        width: sweep.stats.width,
-                        detached: sweep.stats.detached,
-                        restarts: sweep.stats.restarts,
-                        lanes,
-                    },
-                )
-            },
-        ));
-    }
+        &infected,
+        || {
+            let sweep = meanfield::solve_batch(&model, &m0s, theta, &opts).expect("solves");
+            let stats = sweep
+                .lanes
+                .iter()
+                .map(|r| {
+                    r.as_ref()
+                        .map(|(t, _)| t.trajectory().stats())
+                        .unwrap_or_default()
+                })
+                .collect();
+            let detail = BatchDetail {
+                width: sweep.stats.width,
+                detached: sweep.stats.detached,
+            };
+            (stats, Some((sweep.stats.batch_rhs_calls, detail)))
+        },
+    ));
 
     let sol = meanfield::solve(&model, &m0s[0], theta, &opts).expect("solves");
     let gen = sol.generator();
@@ -709,24 +721,29 @@ fn render_solver_json(kernels: &[KernelReport], smoke: bool) -> String {
         let _ = writeln!(out, "      \"rhs_evals\": {},", k.rhs_evals);
         let _ = writeln!(out, "      \"accepted_steps\": {},", k.accepted_steps);
         let _ = writeln!(out, "      \"allocations\": {},", k.allocations);
+        let _ = write!(out, "      \"peak_bytes\": {}", k.peak_bytes);
         if let Some(b) = &k.batch {
-            let _ = writeln!(out, "      \"peak_bytes\": {},", k.peak_bytes);
-            let _ = writeln!(out, "      \"batch_width\": {},", b.width);
-            let _ = writeln!(out, "      \"detached\": {},", b.detached);
-            let _ = writeln!(out, "      \"restarts\": {},", b.restarts);
-            let _ = writeln!(out, "      \"lanes\": [");
-            for (li, (lane, accepted, rejected, rhs_evals)) in b.lanes.iter().enumerate() {
+            let _ = write!(out, ",\n      \"batch_width\": {}", b.width);
+            let _ = write!(out, ",\n      \"detached\": {}", b.detached);
+        }
+        if !k.lanes.is_empty() {
+            let _ = writeln!(out, ",\n      \"lanes\": [");
+            for (li, l) in k.lanes.iter().enumerate() {
                 let _ = writeln!(
                     out,
-                    "        {{\"lane\": {lane}, \"accepted\": {accepted}, \
-                     \"rejected\": {rejected}, \"rhs_evals\": {rhs_evals}}}{}",
-                    if li + 1 < b.lanes.len() { "," } else { "" }
+                    "        {{\"lane\": {li}, \"infected\": {:.6}, \"accepted\": {}, \
+                     \"rejected\": {}, \"rhs_evals\": {}, \"stiff_switches\": {}}}{}",
+                    l.infected,
+                    l.stats.accepted,
+                    l.stats.rejected,
+                    l.stats.rhs_evals,
+                    l.stats.stiff_switches,
+                    if li + 1 < k.lanes.len() { "," } else { "" }
                 );
             }
-            let _ = writeln!(out, "      ]");
-        } else {
-            let _ = writeln!(out, "      \"peak_bytes\": {}", k.peak_bytes);
+            let _ = write!(out, "      ]");
         }
+        let _ = writeln!(out);
         let _ = writeln!(out, "    }}{}", if i + 1 < kernels.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ]");

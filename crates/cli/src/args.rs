@@ -29,9 +29,6 @@ pub struct CommonFlags {
     pub fast: bool,
     /// `--stats`.
     pub stats: bool,
-    /// `--batch-shared`: drive csat sweep prewarms with one shared
-    /// step-size controller instead of per-lane controllers.
-    pub batch_shared: bool,
     /// `--population` (simulate): the finite population size `N`.
     pub population: Option<usize>,
     /// `--reps` (simulate): replication count (default 200).
@@ -96,10 +93,6 @@ pub fn parse_common(rest: &[String]) -> Result<CommonFlags, CliError> {
             }
             "--stats" => {
                 flags.stats = true;
-                i += 1;
-            }
-            "--batch-shared" => {
-                flags.batch_shared = true;
                 i += 1;
             }
             "--population" => {
@@ -496,14 +489,14 @@ mod tests {
     fn common_flags_roundtrip() {
         let flags = parse_common(&argv(&[
             "--m0", "0.9,0.1", "--theta", "12", "--threads", "4", "--fast", "--stats",
-            "--batch-shared", "E{<0.3}[ infected ]",
+            "E{<0.3}[ infected ]",
         ]))
         .unwrap();
         assert_eq!(flags.m0_texts, vec!["0.9,0.1"]);
         assert_eq!(flags.theta, Some(12.0));
         assert_eq!(flags.threads, Some(4));
-        assert!(flags.fast && flags.stats && flags.batch_shared);
-        assert!(!parse_common(&argv(&["--m0", "0.9,0.1"])).unwrap().batch_shared);
+        assert!(flags.fast && flags.stats);
+        assert!(parse_common(&argv(&["--batch-shared"])).is_err());
         assert_eq!(flags.formulas().unwrap().len(), 1);
         assert_eq!(flags.single_m0().unwrap().len(), 2);
     }

@@ -12,7 +12,7 @@ use mfcsl_core::mfcsl::{parse_formula, CheckSession, EngineStats, MfFormula, Sol
 use mfcsl_core::{meanfield, LocalModel, Occupancy};
 use mfcsl_csl::Tolerances;
 use mfcsl_math::alloc_counter;
-use mfcsl_ode::{BatchMode, OdeOptions};
+use mfcsl_ode::OdeOptions;
 use mfcsl_pool::{PoolStats, ThreadPool};
 
 /// Error type of the CLI layer: a human-readable message.
@@ -145,17 +145,15 @@ pub fn check(
 }
 
 /// `mfcsl csat <model> --m0 … [--m0 …]… --theta T [--threads N] [--stats]
-/// [--batch-shared] "<formula>"…`.
+/// "<formula>"…`.
 ///
 /// Like [`check`], all formulas share one [`CheckSession`]. With several
 /// `--m0` flags, each formula is swept over all initial occupancies: the
 /// missing trajectories are first solved by **one** batched Dopri5 drive
 /// ([`CheckSession::prewarm`]), then the per-occupancy checks fan out
 /// over the pool, one task per occupancy, with bitwise-identical interval
-/// sets at any thread count. `--batch-shared` switches the prewarm from
-/// per-lane step-size controllers (bitwise identical to scalar solving)
-/// to one shared controller (fewer RHS evaluations, within-tolerance).
-/// `--stats` lists each solve with its accepted/rejected step counts and,
+/// sets at any thread count; the prewarm's per-lane controllers keep
+/// every trajectory bitwise identical to scalar solving. `--stats` lists each solve with its accepted/rejected step counts and,
 /// for batched solves, the lane it rode.
 ///
 /// # Errors
@@ -168,19 +166,11 @@ pub fn csat(
     formulas: &[String],
     show_stats: bool,
     threads: Option<usize>,
-    batch_shared: bool,
 ) -> Result<String, CliError> {
     let alloc_base = alloc_counter::begin();
     let psis = parse_formulas(formulas)?;
     let pool = pool(threads);
-    let mode = if batch_shared {
-        BatchMode::Shared
-    } else {
-        BatchMode::PerLane
-    };
-    let session = session(model, false)
-        .with_pool(Arc::clone(&pool))
-        .with_batch_mode(mode);
+    let session = session(model, false).with_pool(Arc::clone(&pool));
     let mut out = String::new();
     for psi in &psis {
         for (m0, set) in m0s.iter().zip(session.csat_sweep(psi, m0s, theta)?) {
@@ -364,8 +354,8 @@ fn format_stats(
     .expect("write to string");
     writeln!(
         out,
-        "  recoveries: {} ({} stiff fallbacks)",
-        stats.recoveries, stats.stiff_fallbacks
+        "  recoveries: {} ({} stiff fallbacks); stiff switches: {}",
+        stats.recoveries, stats.stiff_fallbacks, stats.stiff_switches
     )
     .expect("write to string");
     writeln!(
@@ -406,9 +396,14 @@ fn format_stats(
             Some(l) => format!(", batch lane {l}"),
             None => String::new(),
         };
+        let switched = if s.stiff_switches > 0 {
+            ", stiff switch"
+        } else {
+            ""
+        };
         writeln!(
             out,
-            "  {} [{:.3}, {:.3}]: {} steps ({} rejected), {} rhs evals, {:.3} ms{lane}",
+            "  {} [{:.3}, {:.3}]: {} steps ({} rejected), {} rhs evals, {:.3} ms{lane}{switched}",
             match s.kind {
                 SolveKind::Fresh => "solve ",
                 SolveKind::Extension => "extend",
@@ -1275,10 +1270,10 @@ rate i -> s : gamma
         let (model, _) = sis();
         let m0 = parse_occupancy("0.9,0.1").unwrap();
         let m0s = std::slice::from_ref(&m0);
-        let text = csat(&model, m0s, 10.0, &one("E{<0.3}[ infected ]"), false, None, false).unwrap();
+        let text = csat(&model, m0s, 10.0, &one("E{<0.3}[ infected ]"), false, None).unwrap();
         assert!(text.contains("cSat"));
         assert!(text.contains("measure"));
-        let text = csat(&model, m0s, 10.0, &one("E{<0.3}[ infected ]"), true, None, false).unwrap();
+        let text = csat(&model, m0s, 10.0, &one("E{<0.3}[ infected ]"), true, None).unwrap();
         assert!(text.contains("engine statistics:"), "{text}");
     }
 
@@ -1291,13 +1286,10 @@ rate i -> s : gamma
             parse_occupancy("0.2,0.8").unwrap(),
         ];
         let psi = one("E{<0.3}[ infected ]");
-        let serial = csat(&model, &m0s, 10.0, &psi, false, Some(1), false).unwrap();
+        let serial = csat(&model, &m0s, 10.0, &psi, false, Some(1)).unwrap();
         assert_eq!(serial.matches("cSat").count(), 3, "{serial}");
-        let parallel = csat(&model, &m0s, 10.0, &psi, false, Some(8), false).unwrap();
+        let parallel = csat(&model, &m0s, 10.0, &psi, false, Some(8)).unwrap();
         assert_eq!(serial, parallel);
-        // The shared-controller prewarm still answers every lane.
-        let shared = csat(&model, &m0s, 10.0, &psi, false, Some(1), true).unwrap();
-        assert_eq!(shared.matches("cSat").count(), 3, "{shared}");
     }
 
     #[test]
@@ -1309,7 +1301,7 @@ rate i -> s : gamma
             parse_occupancy("0.2,0.8").unwrap(),
         ];
         let psi = one("E{<0.3}[ infected ]");
-        let text = csat(&model, &m0s, 10.0, &psi, true, Some(1), false).unwrap();
+        let text = csat(&model, &m0s, 10.0, &psi, true, Some(1)).unwrap();
         assert!(
             text.contains("batch prewarm: 3 lanes solved by one batched drive"),
             "{text}"
@@ -1321,16 +1313,7 @@ rate i -> s : gamma
         }
         assert!(text.contains("rejected)"), "{text}");
         // A single-occupancy csat takes the scalar path: no batch lines.
-        let solo = csat(
-            &model,
-            std::slice::from_ref(&m0s[0]),
-            10.0,
-            &psi,
-            true,
-            Some(1),
-            false,
-        )
-        .unwrap();
+        let solo = csat(&model, std::slice::from_ref(&m0s[0]), 10.0, &psi, true, Some(1)).unwrap();
         assert!(!solo.contains("batch prewarm"), "{solo}");
         assert!(!solo.contains("batch lane"), "{solo}");
     }

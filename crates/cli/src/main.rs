@@ -30,7 +30,7 @@ mfcsl — MF-CSL model checker for mean-field models
 USAGE:
   mfcsl info <model.mf>
   mfcsl check <model.mf> --m0 <fractions> [--fast] [--threads <N>] [--stats] \"<formula>\"...
-  mfcsl csat <model.mf> --m0 <fractions> [--m0 <fractions>]... --theta <T> [--threads <N>] [--stats] [--batch-shared] \"<formula>\"...
+  mfcsl csat <model.mf> --m0 <fractions> [--m0 <fractions>]... --theta <T> [--threads <N>] [--stats] \"<formula>\"...
   mfcsl simulate <model.mf> --m0 <fractions> --population <N> [--reps <R>] [--seed <S>] [--confidence <L>] [--sequential <HW>] [--threads <N>] [--stats] \"<formula>\"...
   mfcsl trajectory <model.mf> --m0 <fractions> --t-end <T> [--points <N>]
   mfcsl fixed-points <model.mf>
@@ -49,10 +49,9 @@ USAGE:
   (default: the machine's available parallelism; results are bitwise
   identical at any thread count). csat accepts --m0 repeatedly and sweeps
   every formula over all initial occupancies in parallel; the sweep's
-  missing trajectories are solved up front by one batched Dopri5 drive
-  (per-lane controllers by default — bitwise identical to scalar solving;
-  --batch-shared switches to one shared controller, cheaper but only
-  within-tolerance). --stats prints
+  missing trajectories are solved up front by one batched drive whose
+  per-lane controllers keep every lane bitwise identical to scalar
+  solving, stiffness hand-offs included. --stats prints
   the session's cache counters, per-solve timings with RHS-evaluation
   counts, the command's allocation count, per-kernel heap peaks (the
   resident matrix bytes each check/csat kernel held), and the pool's
@@ -180,7 +179,6 @@ fn run(argv: Vec<String>) -> Result<String, CliError> {
                 flags.formulas()?,
                 flags.stats,
                 flags.threads,
-                flags.batch_shared,
             )
         }
         "simulate" => {

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use mfcsl_csl::{CslError, LocalTvModel};
 use mfcsl_ctmc::inhomogeneous::TimeVaryingGenerator;
 use mfcsl_math::Matrix;
-use mfcsl_ode::batch::{solve_batch_recovering, BatchMode, BatchStats, BatchWorkspace};
+use mfcsl_ode::batch::{solve_batch_recovering, BatchStats, BatchWorkspace};
 use mfcsl_ode::dopri::SolverWorkspace;
 use mfcsl_ode::fault::{FaultPlan, FaultySystem};
 use mfcsl_ode::problem::OdeSystem;
@@ -349,10 +349,10 @@ pub fn solve_faulted<'a>(
 
 /// Workspace-reusing variant of [`solve_faulted`]; the common
 /// implementation behind every fresh mean-field solve. Integration runs
-/// through the recovery ladder ([`mfcsl_ode::recover`]): plain Dopri5
-/// first (bitwise identical when healthy), then a relaxed controller, then
-/// the A-stable implicit trapezoid, with recoveries recorded in the
-/// trajectory's [`mfcsl_ode::SolveStats`].
+/// through the recovery ladder ([`mfcsl_ode::recover`]): Dopri5 with a
+/// stiffness hand-off to the implicit Rodas4 stepper first, then a relaxed
+/// controller, then Rodas4 from the start, with hand-offs and recoveries
+/// recorded in the trajectory's [`mfcsl_ode::SolveStats`].
 ///
 /// # Errors
 ///
@@ -545,11 +545,10 @@ pub struct BatchSweep<'a> {
 /// Integrates the mean-field ODE from every occupancy of `m0s` to `t_end`
 /// as one structure-of-arrays batch ([`mfcsl_ode::batch`]).
 ///
-/// In [`BatchMode::PerLane`] every lane is bitwise identical to the
-/// corresponding serial [`solve`]; in [`BatchMode::Shared`] the whole sweep
-/// rides one step-size controller, costing roughly a single solve's worth
-/// of drive. Lanes that fail numerically detach and are re-solved through
-/// the scalar recovery ladder without perturbing their siblings.
+/// Every lane is bitwise identical to the corresponding serial [`solve`],
+/// stiffness hand-off included. Lanes that fail numerically detach and are
+/// re-solved through the scalar recovery ladder without perturbing their
+/// siblings.
 ///
 /// # Errors
 ///
@@ -561,14 +560,12 @@ pub fn solve_batch<'a>(
     m0s: &[Occupancy],
     t_end: f64,
     options: &OdeOptions,
-    mode: BatchMode,
 ) -> Result<BatchSweep<'a>, CoreError> {
     solve_batch_with(
         model,
         m0s,
         t_end,
         options,
-        mode,
         &mut BatchWorkspace::new(),
         &mut SolverWorkspace::new(),
     )
@@ -584,7 +581,6 @@ pub fn solve_batch_with<'a>(
     m0s: &[Occupancy],
     t_end: f64,
     options: &OdeOptions,
-    mode: BatchMode,
     workspace: &mut BatchWorkspace,
     scalar_workspace: &mut SolverWorkspace,
 ) -> Result<BatchSweep<'a>, CoreError> {
@@ -610,7 +606,6 @@ pub fn solve_batch_with<'a>(
         t_end,
         &y0s,
         options,
-        mode,
         workspace,
         scalar_workspace,
     )?;
@@ -845,7 +840,7 @@ mod tests {
             .map(|m| Occupancy::new(m.to_vec()).unwrap())
             .collect();
         let options = OdeOptions::default();
-        let sweep = solve_batch(&model, &m0s, 20.0, &options, BatchMode::PerLane).unwrap();
+        let sweep = solve_batch(&model, &m0s, 20.0, &options).unwrap();
         assert_eq!(sweep.stats.detached, 0);
         for (lane, m0) in sweep.lanes.iter().zip(&m0s) {
             let (batched, recovery) = lane.as_ref().unwrap();
@@ -864,63 +859,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_shared_stays_close_and_cheap() {
-        let model = virus([0.9, 0.1, 0.01, 0.3, 0.3]);
-        let m0s: Vec<Occupancy> = [[0.85, 0.1, 0.05], [0.2, 0.5, 0.3], [0.6, 0.3, 0.1]]
-            .iter()
-            .map(|m| Occupancy::new(m.to_vec()).unwrap())
-            .collect();
-        let options = OdeOptions::default();
-        let sweep = solve_batch(&model, &m0s, 15.0, &options, BatchMode::Shared).unwrap();
-        let mut max_single = 0;
-        for (lane, m0) in sweep.lanes.iter().zip(&m0s) {
-            let (batched, _) = lane.as_ref().unwrap();
-            let serial = solve(&model, m0, 15.0, &options).unwrap();
-            max_single = max_single.max(serial.trajectory().stats().rhs_evals);
-            for k in 0..=30 {
-                let t = 15.0 * f64::from(k) / 30.0;
-                let a = batched.occupancy_at(t);
-                let b = serial.occupancy_at(t);
-                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                    assert!((x - y).abs() < 1e-7, "t = {t}: {x} vs {y}");
-                }
-            }
-        }
-        // One shared drive for the whole sweep: the cost target is at most
-        // 3× a single solve's evaluations, independent of the lane count
-        // (the max-over-lanes error norm makes the controller step like the
-        // most cautious lane, not like all of them in sequence).
-        assert!(
-            sweep.stats.batch_rhs_calls <= 3 * max_single,
-            "{} batched calls vs {max_single} for one serial solve",
-            sweep.stats.batch_rhs_calls
-        );
-    }
-
-    #[test]
     fn batch_validates_arguments() {
         let model = sis(2.0, 1.0);
         let good = Occupancy::new(vec![0.9, 0.1]).unwrap();
         let bad = Occupancy::new(vec![1.0]).unwrap();
         let options = OdeOptions::default();
-        assert!(solve_batch(
-            &model,
-            &[good.clone(), bad],
-            1.0,
-            &options,
-            BatchMode::PerLane
-        )
-        .is_err());
-        assert!(solve_batch(
-            &model,
-            std::slice::from_ref(&good),
-            -1.0,
-            &options,
-            BatchMode::PerLane
-        )
-        .is_err());
-        assert!(
-            solve_batch(&model, &[good], f64::NAN, &options, BatchMode::Shared).is_err()
-        );
+        assert!(solve_batch(&model, &[good.clone(), bad], 1.0, &options).is_err());
+        assert!(solve_batch(&model, std::slice::from_ref(&good), -1.0, &options).is_err());
+        assert!(solve_batch(&model, &[good], f64::NAN, &options).is_err());
     }
 }

@@ -51,7 +51,7 @@ use mfcsl_csl::checker::{InhomogeneousChecker, ProbCurve};
 use mfcsl_csl::model::StationaryRegime;
 use mfcsl_csl::{CacheStats, PathFormula, SatCache, SatCacheExport, Tolerances};
 use mfcsl_math::{alloc_counter, IntervalSet};
-use mfcsl_ode::{BatchMode, Trajectory};
+use mfcsl_ode::Trajectory;
 use mfcsl_pool::shard::ShardedMap;
 use mfcsl_pool::ThreadPool;
 
@@ -93,9 +93,13 @@ pub struct SolveRecord {
     /// Recovery-ladder rescues in this integration (see
     /// [`mfcsl_ode::recover`]); zero for a healthy solve.
     pub recoveries: usize,
-    /// Rescues that fell back to the A-stable implicit trapezoid.
+    /// Rescues that fell back to the implicit Rodas4 stepper.
     pub stiff_fallbacks: usize,
-    /// Wall-clock time of the integration.
+    /// Stiffness hand-offs from the explicit drive to the implicit stepper
+    /// in this integration (not recoveries: nothing failed).
+    pub stiff_switches: usize,
+    /// Wall-clock time of the integration. A batched prewarm lane's share
+    /// of the drive's wall time is proportional to its `rhs_evals`.
     pub wall: Duration,
     /// `Some(lane)` when this solve rode the batched drive
     /// ([`CheckSession::prewarm`]) as the given lane; `None` for scalar
@@ -146,9 +150,11 @@ pub struct EngineStats {
     /// Integrations rescued by the recovery ladder (relaxed controller or
     /// stiff fallback) instead of failing.
     pub recoveries: u64,
-    /// Rescued integrations that used the A-stable implicit-trapezoid
-    /// fallback.
+    /// Rescued integrations that used the implicit Rodas4 fallback.
     pub stiff_fallbacks: u64,
+    /// Integrations that detected stiffness and handed off to the implicit
+    /// stepper mid-solve.
+    pub stiff_switches: u64,
     /// Marginal verdicts that entered automatic refinement.
     pub refined_verdicts: u64,
     /// Total tightening rounds run across all refined verdicts.
@@ -185,6 +191,7 @@ impl EngineStats {
         self.regime_reuses += other.regime_reuses;
         self.recoveries += other.recoveries;
         self.stiff_fallbacks += other.stiff_fallbacks;
+        self.stiff_switches += other.stiff_switches;
         self.refined_verdicts += other.refined_verdicts;
         self.refine_rounds += other.refine_rounds;
         self.batch_prewarmed += other.batch_prewarmed;
@@ -274,9 +281,6 @@ pub struct RegimeExport {
 pub struct CheckSession<'a> {
     checker: Checker<'a>,
     pool: Option<Arc<ThreadPool>>,
-    /// Controller mode of the batched sweep prewarm
-    /// ([`CheckSession::prewarm`]).
-    batch_mode: BatchMode,
     entries: ShardedMap<Vec<u64>, Arc<Entry<'a>>>,
     /// Per-key creation gates: the first thread to need an entry solves
     /// while holding its gate, so concurrent callers with the same `m̄(0)`
@@ -294,6 +298,7 @@ pub struct CheckSession<'a> {
     regime_reuses: AtomicU64,
     recoveries: AtomicU64,
     stiff_fallbacks: AtomicU64,
+    stiff_switches: AtomicU64,
     refined_verdicts: AtomicU64,
     refine_rounds: AtomicU64,
     batch_prewarmed: AtomicU64,
@@ -320,7 +325,6 @@ impl<'a> CheckSession<'a> {
         CheckSession {
             checker,
             pool: None,
-            batch_mode: BatchMode::PerLane,
             entries: ShardedMap::new(),
             entry_gates: ShardedMap::new(),
             regimes: ShardedMap::new(),
@@ -333,6 +337,7 @@ impl<'a> CheckSession<'a> {
             regime_reuses: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
             stiff_fallbacks: AtomicU64::new(0),
+            stiff_switches: AtomicU64::new(0),
             refined_verdicts: AtomicU64::new(0),
             refine_rounds: AtomicU64::new(0),
             batch_prewarmed: AtomicU64::new(0),
@@ -355,27 +360,6 @@ impl<'a> CheckSession<'a> {
     #[must_use]
     pub fn pool(&self) -> Option<&ThreadPool> {
         self.pool.as_deref()
-    }
-
-    /// Selects the step-size controller of the batched sweep prewarm
-    /// ([`CheckSession::prewarm`]).
-    ///
-    /// The default, [`BatchMode::PerLane`], keeps every cached trajectory
-    /// bitwise identical to the scalar per-occupancy solve.
-    /// [`BatchMode::Shared`] drives the whole batch on one controller —
-    /// fewer total RHS evaluations for clustered initial occupancies, but
-    /// trajectories may differ from the scalar path within the solver
-    /// tolerances, so verdict-critical sessions should keep the default.
-    #[must_use]
-    pub fn with_batch_mode(mut self, mode: BatchMode) -> Self {
-        self.batch_mode = mode;
-        self
-    }
-
-    /// The batched-prewarm controller mode.
-    #[must_use]
-    pub fn batch_mode(&self) -> BatchMode {
-        self.batch_mode
     }
 
     /// The underlying (uncached) checker.
@@ -600,10 +584,10 @@ impl<'a> CheckSession<'a> {
     /// scalar integration each, sharing the per-step `m̄·Q(m̄)` kernel
     /// dispatch across all lanes. Returns the number of entries created.
     ///
-    /// In the default [`BatchMode::PerLane`] mode the cached trajectories
-    /// are bitwise identical to what the scalar path would have produced —
-    /// including solver statistics — so warmed sweeps return bitwise the
-    /// same answers as cold ones. A lane the batch cannot finish (even
+    /// The cached trajectories are bitwise identical to what the scalar
+    /// path would have produced — including solver statistics and
+    /// stiffness hand-offs — so warmed sweeps return bitwise the same
+    /// answers as cold ones. A lane the batch cannot finish (even
     /// through the scalar recovery ladder it detaches to) is simply left
     /// uncached; the per-occupancy pass re-solves it and surfaces the error
     /// in input order.
@@ -649,12 +633,18 @@ impl<'a> CheckSession<'a> {
                     &missing,
                     horizon,
                     &self.checker.tolerances().ode,
-                    self.batch_mode,
                 ) else {
                     return Ok(0); // scalar path owns error reporting
                 };
-                // One drive produced every lane; attribute wall time evenly.
-                let per_lane_wall = start.elapsed() / sweep.lanes.len().max(1) as u32;
+                // One drive produced every lane, and lanes differ widely in
+                // cost (a lane that turns stiff does far more work): give
+                // each lane its share of the wall time by RHS evaluations.
+                let wall = start.elapsed();
+                let lane_evals = |r: &Result<(OccupancyTrajectory<'_>, _), CoreError>| {
+                    r.as_ref()
+                        .map_or(0, |(t, _)| t.trajectory().stats().rhs_evals)
+                };
+                let total_evals: usize = sweep.lanes.iter().map(lane_evals).sum();
                 let mut warmed = 0;
                 for (lane, (key, result)) in keys.into_iter().zip(sweep.lanes).enumerate() {
                     let Ok((trajectory, _recovery)) = result else {
@@ -677,7 +667,8 @@ impl<'a> CheckSession<'a> {
                         rhs_evals: stats.rhs_evals,
                         recoveries: stats.recoveries,
                         stiff_fallbacks: stats.stiff_fallbacks,
-                        wall: per_lane_wall,
+                        stiff_switches: stats.stiff_switches,
+                        wall: wall.mul_f64(stats.rhs_evals as f64 / total_evals.max(1) as f64),
                         batch_lane: Some(lane),
                     });
                     self.trajectory_solves.fetch_add(1, Ordering::Relaxed);
@@ -775,6 +766,7 @@ impl<'a> CheckSession<'a> {
             regime_reuses: self.regime_reuses.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             stiff_fallbacks: self.stiff_fallbacks.load(Ordering::Relaxed),
+            stiff_switches: self.stiff_switches.load(Ordering::Relaxed),
             refined_verdicts: self.refined_verdicts.load(Ordering::Relaxed),
             refine_rounds: self.refine_rounds.load(Ordering::Relaxed),
             batch_prewarmed: self.batch_prewarmed.load(Ordering::Relaxed),
@@ -1091,6 +1083,7 @@ impl<'a> CheckSession<'a> {
             rhs_evals: stats.rhs_evals,
             recoveries: stats.recoveries,
             stiff_fallbacks: stats.stiff_fallbacks,
+            stiff_switches: stats.stiff_switches,
             wall: start.elapsed(),
             batch_lane: None,
         });
@@ -1144,6 +1137,7 @@ impl<'a> CheckSession<'a> {
             rhs_evals: after.rhs_evals - before.rhs_evals,
             recoveries: after.recoveries - before.recoveries,
             stiff_fallbacks: after.stiff_fallbacks - before.stiff_fallbacks,
+            stiff_switches: after.stiff_switches - before.stiff_switches,
             wall: start.elapsed(),
             batch_lane: None,
         });
@@ -1152,8 +1146,8 @@ impl<'a> CheckSession<'a> {
         Ok(())
     }
 
-    /// Appends one integration record and folds its recovery counters into
-    /// the session totals.
+    /// Appends one integration record and folds its recovery and hand-off
+    /// counters into the session totals.
     fn record_solve(&self, record: SolveRecord) {
         if record.recoveries > 0 {
             self.recoveries
@@ -1162,6 +1156,10 @@ impl<'a> CheckSession<'a> {
         if record.stiff_fallbacks > 0 {
             self.stiff_fallbacks
                 .fetch_add(record.stiff_fallbacks as u64, Ordering::Relaxed);
+        }
+        if record.stiff_switches > 0 {
+            self.stiff_switches
+                .fetch_add(record.stiff_switches as u64, Ordering::Relaxed);
         }
         self.solves.lock().unwrap().push(record);
     }
@@ -1479,6 +1477,138 @@ mod tests {
         }
     }
 
+    /// The SmartVirus model at Table II Setting 2 with the rate cap of
+    /// `mfcsl_models::virus` — the benchmark's solver grid model, whose
+    /// lanes with infected share ≥ 0.25 fall onto the `m1` guard floor.
+    fn virus_setting_2() -> LocalModel {
+        let [k1, k2, k3, k4, k5] = [5.0, 0.02, 0.01, 0.5, 0.5];
+        LocalModel::builder()
+            .state("s1", ["not_infected"])
+            .state("s2", ["infected", "inactive"])
+            .state("s3", ["infected", "active"])
+            .transition("s1", "s2", move |m: &Occupancy| {
+                k1 * (m[2] / m[0].max(1e-6)).min(1e3)
+            })
+            .unwrap()
+            .constant_transition("s2", "s1", k2)
+            .unwrap()
+            .constant_transition("s2", "s3", k3)
+            .unwrap()
+            .constant_transition("s3", "s2", k4)
+            .unwrap()
+            .constant_transition("s3", "s1", k5)
+            .unwrap()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn stiff_setting_2_batch_matches_scalar_bitwise() {
+        // Unlike the SIS grid above, half of this grid goes stiff: those
+        // lanes leave the explicit lockstep and are finished in place by
+        // the implicit stepper, and must still equal their scalar solves
+        // bit for bit, statistics included.
+        let model = virus_setting_2();
+        let theta = 15.0;
+        let options = mfcsl_ode::OdeOptions::default();
+        let infected: Vec<f64> = (1..=12).map(|i| 0.5 * f64::from(i) / 12.0).collect();
+        let m0s: Vec<Occupancy> = infected
+            .iter()
+            .map(|&x| Occupancy::new(vec![1.0 - x, x / 2.0, x / 2.0]).unwrap())
+            .collect();
+        let sweep = crate::meanfield::solve_batch(&model, &m0s, theta, &options).unwrap();
+        assert_eq!(sweep.stats.detached, 0);
+        let bits = |t: &Trajectory| {
+            let (dim, ts, ys, ds, stats) = t.to_flat();
+            let words: Vec<u64> = ts
+                .iter()
+                .chain(&ys)
+                .chain(&ds)
+                .map(|x| x.to_bits())
+                .collect();
+            (dim, words, stats)
+        };
+        for ((m0, &x), lane) in m0s.iter().zip(&infected).zip(&sweep.lanes) {
+            let (batched, recovery) = lane.as_ref().unwrap();
+            assert_eq!(*recovery, mfcsl_ode::Recovery::None);
+            let serial = crate::meanfield::solve(&model, m0, theta, &options).unwrap();
+            assert_eq!(
+                bits(batched.trajectory()),
+                bits(serial.trajectory()),
+                "infected {x}"
+            );
+            let stats = serial.trajectory().stats();
+            assert_eq!(
+                stats.stiff_switches,
+                usize::from(x >= 0.25),
+                "infected {x}: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn stiff_setting_2_sweep_verdicts_match_explicit_reference() {
+        // The Table II sweep of `E{<0.4}[ infected ]` over the same grid,
+        // answered through the hand-off, against a plain (never switching)
+        // Dopri5 solve of the closed-form drift at rtol 1e-12.
+        let model = virus_setting_2();
+        let theta = 15.0;
+        let bound = 0.4;
+        let infected: Vec<f64> = (1..=12).map(|i| 0.5 * f64::from(i) / 12.0).collect();
+        let m0s: Vec<Occupancy> = infected
+            .iter()
+            .map(|&x| Occupancy::new(vec![1.0 - x, x / 2.0, x / 2.0]).unwrap())
+            .collect();
+        let psi = parse_formula(&format!("E{{<{bound}}}[ infected ]")).unwrap();
+        let session = CheckSession::new(&model);
+        let sets = session.csat_sweep(&psi, &m0s, theta).unwrap();
+        assert_eq!(session.stats().stiff_switches, 7);
+        let drift = mfcsl_ode::problem::FnSystem::new(3, |_t, y: &[f64], dy: &mut [f64]| {
+            let infection = 5.0 * (y[2] / y[0].max(1e-6)).min(1e3) * y[0];
+            dy[0] = -infection + 0.02 * y[1] + 0.5 * y[2];
+            dy[1] = infection - 0.03 * y[1] + 0.5 * y[2];
+            dy[2] = 0.01 * y[1] - y[2];
+        });
+        let options = mfcsl_ode::OdeOptions::default().with_tolerances(1e-12, 1e-16);
+        for (m0, set) in m0s.iter().zip(&sets) {
+            let reference = mfcsl_ode::dopri::Dopri5::new(options)
+                .solve(&drift, 0.0, theta, m0.as_slice())
+                .unwrap();
+            let below = |t: f64| {
+                let y = reference.eval(t);
+                y[1] + y[2] < bound
+            };
+            // Every lane crosses the bound at most once, upwards.
+            let expected = if !below(0.0) {
+                None
+            } else if below(theta) {
+                Some(theta)
+            } else {
+                let (mut lo, mut hi) = (0.0, theta);
+                for _ in 0..80 {
+                    let mid = 0.5 * (lo + hi);
+                    if below(mid) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                Some(hi)
+            };
+            match expected {
+                None => assert!(set.intervals().is_empty(), "{m0}: {set:?}"),
+                Some(end) => {
+                    assert_eq!(set.intervals().len(), 1, "{m0}: {set:?}");
+                    let got = set.intervals()[0].hi().value;
+                    assert!(
+                        (got - end).abs() < 1e-7,
+                        "{m0}: cSat ends at {got}, reference {end}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn prewarm_skips_cached_duplicate_and_malformed_lanes() {
         let model = sis();
@@ -1528,28 +1658,26 @@ mod tests {
     }
 
     #[test]
-    fn shared_mode_prewarm_still_answers_the_sweep() {
+    fn prewarm_splits_wall_time_by_rhs_evaluations() {
         let model = sis();
-        let psi = parse_formula("E{<0.3}[ infected ]").unwrap();
         let m0s: Vec<Occupancy> = (1..5)
-            .map(|i| Occupancy::new(vec![1.0 - 0.1 * f64::from(i), 0.1 * f64::from(i)]).unwrap())
+            .map(|i| Occupancy::new(vec![1.0 - 0.2 * f64::from(i), 0.2 * f64::from(i)]).unwrap())
             .collect();
-        let shared = CheckSession::new(&model).with_batch_mode(BatchMode::Shared);
-        assert_eq!(shared.batch_mode(), BatchMode::Shared);
-        let got = shared.csat_sweep(&psi, &m0s, 10.0).unwrap();
-        assert_eq!(got.len(), m0s.len());
-        let stats = shared.stats();
-        assert_eq!(stats.batch_prewarmed, m0s.len() as u64);
-        // The shared controller is within-tolerance, not bitwise: compare
-        // interval endpoints against the scalar path loosely.
-        let scalar = CheckSession::new(&model);
-        for (m0, b) in m0s.iter().zip(&got) {
-            let a = scalar.csat(&psi, m0, 10.0).unwrap();
-            assert_eq!(a.intervals().len(), b.intervals().len());
-            for (ia, ib) in a.intervals().iter().zip(b.intervals()) {
-                assert!((ia.lo().value - ib.lo().value).abs() < 1e-5);
-                assert!((ia.hi().value - ib.hi().value).abs() < 1e-5);
-            }
+        let session = CheckSession::new(&model);
+        assert_eq!(session.prewarm(&m0s, 10.0).unwrap(), m0s.len());
+        let records = session.stats().solves;
+        assert_eq!(records.len(), m0s.len());
+        // Each lane's wall is the drive's wall times its share of the RHS
+        // evaluations, so wall per evaluation is the same for every lane.
+        let per_eval: Vec<f64> = records
+            .iter()
+            .map(|r| r.wall.as_secs_f64() / r.rhs_evals as f64)
+            .collect();
+        for p in &per_eval {
+            assert!(
+                (p - per_eval[0]).abs() <= 1e-9 * per_eval[0] + 1e-11,
+                "{per_eval:?}"
+            );
         }
     }
 

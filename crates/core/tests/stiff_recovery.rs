@@ -1,13 +1,13 @@
-//! The recovery ladder on a genuinely stiff mean-field model.
+//! The stiffness hand-off on a genuinely stiff mean-field model.
 //!
 //! A fast `idle ↔ busy` loop with rate ~1e7 sits under a slow `busy → done`
 //! drain. The drift's fast eigenvalue is ≈ -2e7, so Dormand-Prince's
 //! stability region limits its step size to ~1.4e-7: covering a unit
 //! horizon needs millions of steps, and with a bounded step budget the
-//! explicit solver *must* fail. Starting on the fast equilibrium
-//! (`m_idle = m_busy`) the solution itself is smooth, so the A-stable
-//! implicit-trapezoid fallback tracks it accurately — the checking
-//! pipeline still answers, and records the recovery in its statistics.
+//! plain explicit solver *must* fail. The checking pipeline's primary rung
+//! detects the stiffness instead and hands the solve to the L-stable
+//! implicit stepper — the pipeline answers accurately, records the
+//! hand-off, and reports no recovery, because nothing failed.
 
 use mfcsl_core::mfcsl::{parse_formula, CheckSession, Checker};
 use mfcsl_core::{LocalModel, Occupancy};
@@ -35,8 +35,8 @@ fn stiff_model() -> LocalModel {
 }
 
 /// On the fast equilibrium (`m_a = m_b`): the solution evolves on the slow
-/// manifold only, so the stiff fallback's trajectory is smooth, while the
-/// slow drain keeps the drift nonzero so the explicit solver cannot coast.
+/// manifold, while the slow drain keeps the drift nonzero so the explicit
+/// solver cannot coast.
 fn m0() -> Occupancy {
     Occupancy::new(vec![0.45, 0.45, 0.1]).unwrap()
 }
@@ -72,24 +72,43 @@ fn plain_dopri5_fails_on_the_stiff_drift() {
 }
 
 #[test]
-fn session_recovers_via_stiff_fallback() {
+fn session_switches_to_the_implicit_stepper_without_recovery() {
     let model = stiff_model();
     let session = CheckSession::from_checker(Checker::with_tolerances(&model, tol()));
     // The E operator alone evaluates at t = 0 without integrating; a csat
     // sweep over [0, 1] forces the trajectory solve across the stiff span.
     // The done-mass starts at 0.1 and only grows, so the 0.05 bound holds
-    // on the whole window with a cushion far beyond the fallback's error.
+    // on the whole window.
     let psi = parse_formula("E{>=0.05}[ done ]").unwrap();
     let cs = session.csat(&psi, &m0(), 1.0).unwrap();
     assert!((cs.measure() - 1.0).abs() < 1e-9, "csat: {cs:?}");
+    // On the slow manifold m_done(t) = 1 − 0.9·e^{st} up to O(1/λ), with
+    // s the slow eigenvalue of the fast block, so `E{<0.45}[ done ]` holds
+    // exactly on [0, t*) with t* = ln(0.9/0.55)/|s|.
+    let s = {
+        let (l, b) = (FAST_RATE, 2.0 * FAST_RATE + 1.0);
+        (-b + (b * b - 4.0 * l).sqrt()) / 2.0
+    };
+    let t_star = (0.9_f64 / 0.55).ln() / -s;
+    let cs = session
+        .csat(&parse_formula("E{<0.45}[ done ]").unwrap(), &m0(), 1.0)
+        .unwrap();
+    let ends = cs.intervals();
+    assert_eq!(ends.len(), 1, "csat: {cs:?}");
+    assert_eq!(ends[0].lo().value, 0.0);
+    assert!(
+        (ends[0].hi().value - t_star).abs() < 1e-6,
+        "csat {cs:?}, t* = {t_star}"
+    );
     let stats = session.stats();
-    assert!(stats.recoveries >= 1, "stats: {stats:?}");
-    assert!(stats.stiff_fallbacks >= 1, "stats: {stats:?}");
-    // The per-solve records carry the recovery too.
+    assert_eq!(stats.recoveries, 0, "stats: {stats:?}");
+    assert_eq!(stats.stiff_fallbacks, 0, "stats: {stats:?}");
+    assert!(stats.stiff_switches >= 1, "stats: {stats:?}");
+    // The per-solve records carry the hand-off too.
     assert!(stats
         .solves
         .iter()
-        .any(|s| s.recoveries >= 1 && s.stiff_fallbacks >= 1));
+        .any(|s| s.stiff_switches >= 1 && s.recoveries == 0));
 }
 
 #[test]
@@ -111,4 +130,5 @@ fn healthy_models_report_zero_recoveries() {
     let stats = session.stats();
     assert_eq!(stats.recoveries, 0);
     assert_eq!(stats.stiff_fallbacks, 0);
+    assert_eq!(stats.stiff_switches, 0);
 }

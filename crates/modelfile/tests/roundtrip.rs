@@ -162,7 +162,7 @@ fn gossip_mf_batched_drift_is_bitwise_identical_to_programmatic_serial() {
     // per-lane batch of the parsed model must reproduce, bit for bit, the
     // serial solves of the programmatic model.
     use mfcsl_core::meanfield;
-    use mfcsl_ode::{BatchMode, OdeOptions, Recovery};
+    use mfcsl_ode::{OdeOptions, Recovery};
 
     let parsed = load("gossip.mf").instantiate().expect("gossip.mf instantiates");
     let programmatic = mfcsl_models::gossip::model(mfcsl_models::gossip::default_params()).unwrap();
@@ -177,7 +177,7 @@ fn gossip_mf_batched_drift_is_bitwise_identical_to_programmatic_serial() {
     let opts = OdeOptions::default();
     let theta = 2.0;
 
-    let sweep = meanfield::solve_batch(&parsed, &m0s, theta, &opts, BatchMode::PerLane)
+    let sweep = meanfield::solve_batch(&parsed, &m0s, theta, &opts)
         .expect("batched sweep of the parsed model solves");
     assert_eq!(sweep.stats.width, m0s.len());
     assert_eq!(sweep.stats.detached, 0);

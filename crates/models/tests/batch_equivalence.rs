@@ -2,24 +2,15 @@
 //! ([`mfcsl_ode::batch`]), swept across all four Table II parameter
 //! settings and the bounded-queue model at batch widths 1, 2, and 12.
 //!
-//! Two claims with two strengths, matching the two controller modes:
-//!
-//! * **per-lane controllers — bitwise**: every lane runs its own
-//!   accept/reject stream with arithmetic identical to the scalar solver,
-//!   so each lane must reproduce its serial solve bit for bit — same
-//!   knots, same values, same derivatives, same step statistics;
-//! * **shared controller — ≤ 1e-12**: one accept/reject decision (error
-//!   norm = max over lanes) drives the whole batch, so lanes take the
-//!   union of everyone's steps and the trajectories are numerically, not
-//!   bitwise, equal. Run two orders tighter than the claim (rtol 1e-12,
-//!   atol 1e-14) and compared at the endpoint — a knot of both solves, so
-//!   the comparison measures the controllers' divergence, not dense-output
-//!   interpolation error.
+//! Every lane runs its own accept/reject stream with arithmetic identical
+//! to the scalar solver, so each lane must reproduce its serial solve bit
+//! for bit — same knots, same values, same derivatives, same step
+//! statistics.
 
 use mfcsl_core::meanfield;
 use mfcsl_core::{LocalModel, Occupancy};
 use mfcsl_models::{queueing, virus};
-use mfcsl_ode::{BatchMode, OdeOptions, Recovery};
+use mfcsl_ode::{OdeOptions, Recovery};
 use proptest::prelude::*;
 
 const WIDTHS: [usize; 3] = [1, 2, 12];
@@ -133,9 +124,7 @@ proptest! {
                 if name == "queueing" { &queue_m0s } else { &virus_m0s };
             for width in WIDTHS {
                 let lanes = &m0s[..width];
-                let sweep =
-                    meanfield::solve_batch(&model, lanes, theta, &opts, BatchMode::PerLane)
-                        .expect("solves");
+                let sweep = meanfield::solve_batch(&model, lanes, theta, &opts).expect("solves");
                 prop_assert_eq!(sweep.stats.width, width);
                 prop_assert_eq!(
                     sweep.stats.detached, 0,
@@ -153,52 +142,6 @@ proptest! {
                         name, width, lane,
                         serial.trajectory(), batched.trajectory(),
                     )?;
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The shared controller steps every lane with one accept/reject
-    /// stream, so lanes diverge from their serial solves at the level of
-    /// the integration error. At rtol 1e-12 / atol 1e-14 both solves sit
-    /// within ~1e-13 of the true flow, so their endpoint occupancies must
-    /// agree to 1e-12 on every setting at every width.
-    #[test]
-    fn shared_batch_matches_serial_to_1e12(
-        virus_m0s in virus_occupancies(),
-        queue_m0s in queue_occupancies(),
-        theta in 0.5f64..2.0,
-    ) {
-        let opts = OdeOptions::default().with_tolerances(1e-12, 1e-14);
-        for (name, model) in all_models() {
-            let m0s: &[Occupancy] =
-                if name == "queueing" { &queue_m0s } else { &virus_m0s };
-            for width in WIDTHS {
-                let lanes = &m0s[..width];
-                let sweep =
-                    meanfield::solve_batch(&model, lanes, theta, &opts, BatchMode::Shared)
-                        .expect("solves");
-                prop_assert_eq!(
-                    sweep.stats.detached, 0,
-                    "{} width {}: healthy lanes must not detach", name, width
-                );
-                for (lane, (m0, result)) in lanes.iter().zip(&sweep.lanes).enumerate() {
-                    let (batched, _) = result.as_ref().expect("lane solves");
-                    let serial = meanfield::solve(&model, m0, theta, &opts).expect("solves");
-                    let a = batched.occupancy_at(theta);
-                    let b = serial.occupancy_at(theta);
-                    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-                        prop_assert!(
-                            (x - y).abs() <= 1e-12,
-                            "{} width {} lane {} state {}: shared batch {} vs serial {} \
-                             differ by {:e}",
-                            name, width, lane, i, x, y, (x - y).abs()
-                        );
-                    }
                 }
             }
         }

@@ -8,8 +8,8 @@ use mfcsl_core::{CoreError, LocalModel, Occupancy};
 use mfcsl_csl::Tolerances;
 use mfcsl_models::virus;
 use mfcsl_ode::{
-    solve_batch_recovering, BatchMode, BatchWorkspace, OdeOptions, OdeSystem, Recovery,
-    SolverWorkspace, Trajectory,
+    solve_batch_recovering, BatchWorkspace, OdeOptions, OdeSystem, Recovery, SolverWorkspace,
+    Trajectory,
 };
 use proptest::prelude::*;
 
@@ -159,13 +159,9 @@ proptest! {
 /// perturbing its siblings. `after = +inf` never fires, giving the clean
 /// reference drive over the identical arithmetic.
 ///
-/// The poisoned lane is identified by its initial occupancy, not a column
-/// index: a shared-mode restart repacks the surviving lanes, so the column
-/// that used to be the poisoned lane's neighbour would inherit its index.
-/// At every drive launch (all active lanes evaluated at `t0 = 0`) the
-/// wrapper rescans for the column whose state matches `sig` bitwise and
-/// poisons only that one — after a restart excludes the lane, no survivor
-/// matches and the fault is gone for good.
+/// The poisoned lane is identified by its initial occupancy: at the drive
+/// launch (all active lanes evaluated at `t0 = 0`) the wrapper scans for
+/// the column whose state matches `sig` bitwise and poisons only that one.
 struct PoisonedLane<'a> {
     model: &'a LocalModel,
     sig: Vec<f64>,
@@ -203,9 +199,8 @@ impl OdeSystem for PoisonedLane<'_> {
 
     fn rhs_batch(&self, ts: &[f64], active: &[bool], y: &[f64], dy: &mut [f64], width: usize) {
         let n = self.dim();
-        // A drive launch (fresh batch or shared-mode restart) evaluates
-        // every active lane at t0 = 0 with its initial state: rescan for
-        // the poisoned lane's column there.
+        // The drive launch evaluates every active lane at t0 = 0 with its
+        // initial state: scan for the poisoned lane's column there.
         if (0..width).all(|b| !active[b] || ts[b] == 0.0) {
             self.column.set((0..width).find(|&b| {
                 active[b] && (0..n).all(|i| y[i * width + b].to_bits() == self.sig[i].to_bits())
@@ -237,9 +232,7 @@ proptest! {
     /// Batch × recovery-ladder interaction: a NaN-injected lane detaches
     /// from the per-lane batched drive and recovers through the scalar
     /// ladder (whose clean scalar path reproduces the healthy solve), while
-    /// its siblings' curves stay bitwise unchanged. In shared mode the
-    /// drive restarts without the poisoned lane and still answers every
-    /// lane.
+    /// its siblings' curves stay bitwise unchanged.
     #[test]
     fn prop_poisoned_lane_detaches_and_recovers_without_perturbing_siblings(
         which in 0usize..4,
@@ -264,17 +257,16 @@ proptest! {
             column: Default::default(),
         };
 
-        let solve = |sys: &PoisonedLane<'_>, mode| {
+        let solve = |sys: &PoisonedLane<'_>| {
             let mut ws = BatchWorkspace::new();
             let mut scalar_ws = SolverWorkspace::new();
-            solve_batch_recovering(sys, 0.0, horizon, &y0s, &opts, mode, &mut ws, &mut scalar_ws)
+            solve_batch_recovering(sys, 0.0, horizon, &y0s, &opts, &mut ws, &mut scalar_ws)
         };
-        let clean = solve(&clean_sys, BatchMode::PerLane).expect("clean batch solves");
+        let clean = solve(&clean_sys).expect("clean batch solves");
         prop_assert_eq!(clean.stats.detached, 0);
 
-        let bad = solve(&bad_sys, BatchMode::PerLane).expect("poisoned batch solves");
+        let bad = solve(&bad_sys).expect("poisoned batch solves");
         prop_assert_eq!(bad.stats.detached, 1, "exactly the poisoned lane detaches");
-        prop_assert_eq!(bad.stats.restarts, 0, "per-lane mode never restarts the drive");
 
         let bits = |t: &Trajectory| -> Vec<u64> {
             let c = t.curve();
@@ -298,21 +290,6 @@ proptest! {
                 bits(clean_traj),
                 bits(bad_traj),
                 "lane {} curve changed under a sibling's fault", lane
-            );
-        }
-
-        // Shared mode: the drive restarts from t0 without the poisoned
-        // lane (its siblings re-ride one controller), and the poisoned
-        // lane itself still answers through the scalar ladder.
-        let shared = solve(&bad_sys, BatchMode::Shared).expect("shared batch solves");
-        prop_assert_eq!(shared.stats.detached, 1);
-        prop_assert!(shared.stats.restarts >= 1, "shared mode restarts without the lane");
-        for (lane, result) in shared.lanes.iter().enumerate() {
-            let (traj, _) = result.as_ref().expect("every lane still answers");
-            let end = traj.eval(horizon);
-            prop_assert!(
-                end.iter().all(|x| x.is_finite()),
-                "lane {} must end finite in shared mode", lane
             );
         }
     }

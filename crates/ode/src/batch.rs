@@ -1,5 +1,5 @@
-//! Batched structure-of-arrays Dopri5: one controller drive propagates
-//! many trajectories.
+//! Batched structure-of-arrays Dopri5: one drive propagates many
+//! trajectories, each lane under its own controller.
 //!
 //! The checking workloads are inherently *many-solve*: a `cSat` sweep
 //! integrates the same vector field from a grid of initial occupancies, and
@@ -11,65 +11,44 @@
 //! [`OdeSystem::rhs_batch`] kernel evaluated once per stage for the whole
 //! batch.
 //!
-//! Two controller modes ([`BatchMode`]):
+//! Every lane keeps its own time, step size, error estimate and
+//! accept/reject decisions, advancing in lockstep attempts (finished lanes
+//! are masked out). Each lane replicates the arithmetic of the ladder's
+//! primary rung ([`crate::recover::solve_recovering`]) exactly, so per-lane
+//! results are **bitwise identical** to serial solves, statistics
+//! included: every cached artifact derived from a batched trajectory is
+//! indistinguishable from the serial pipeline's.
 //!
-//! * [`BatchMode::PerLane`] — every lane keeps its own time, step size,
-//!   error estimate and accept/reject decisions, advancing in lockstep
-//!   attempts (finished lanes are masked out). Each lane replicates the
-//!   scalar [`Dopri5::solve_into`] arithmetic exactly, so per-lane results
-//!   are **bitwise identical** to serial solves. This is the engine's
-//!   default: every cached artifact derived from a batched trajectory is
-//!   indistinguishable from the serial pipeline's.
-//! * [`BatchMode::Shared`] — one step-size controller for the whole batch:
-//!   shared `t` and `h`, error norm = max over the per-lane scaled RMS
-//!   norms, one accept/reject decision per attempt. Lanes resynchronize at
-//!   every accepted step (each gets a knot), so dense output is available
-//!   per lane as usual. Results agree with serial solves to within the
-//!   integration tolerance (property-tested: with both drives run at
-//!   rtol 1e-12 / atol 1e-14, endpoint occupancies agree to ≤ 1e-12); in
-//!   exchange, a `B`-lane sweep costs roughly *one* solve's worth of
-//!   controller drive instead of `B`.
+//! **Stiff lanes** run the primary rung's stiffness test on their own
+//! accepted steps. A lane that confirms stiffness leaves the explicit
+//! lockstep and, once the explicit lanes are done, is finished in place by
+//! the implicit [`Rodas4`] stepper — written in the same structure-of-arrays
+//! form, so all stiff lanes advance in lockstep through `rhs_batch` too,
+//! and each lane's result is still bitwise equal to its scalar solve. Its
+//! implicit evaluations count in [`BatchStats::batch_rhs_calls`].
 //!
-//! **Detach semantics** (PR 5's failure ladder survives batching): a lane
-//! whose derivative goes non-finite — or that trips fault injection, or
-//! whose own controller underflows in per-lane mode — *detaches* from the
-//! batch. In per-lane mode the lane simply leaves the lockstep; column
-//! independence of [`OdeSystem::rhs_batch`] guarantees the siblings'
-//! columns are untouched. In shared mode the whole batch restarts from
-//! `t0` without the offending lane (at most `B` restarts), because the
-//! shared controller's step history is contaminated by it — after the
-//! restart the survivors are bitwise equal to a batch launched on the
-//! healthy subset alone. [`solve_batch_recovering`] then routes every
-//! detached lane through the scalar recovery ladder
-//! ([`crate::recover::solve_recovering`]) individually.
+//! **Detach semantics**: a lane whose derivative goes non-finite — or that
+//! trips fault injection, or whose own controller fails — *detaches* from
+//! the batch and leaves the lockstep; column independence of
+//! [`OdeSystem::rhs_batch`] guarantees the siblings' columns are
+//! untouched. [`solve_batch_recovering`] then routes every detached lane
+//! through the scalar recovery ladder individually.
 //!
 //! The drive is deliberately backend-agnostic: everything the integrator
 //! needs from the model is the `rhs_batch`/`project_batch` pair, which is
 //! the seam a SIMD or GPU propagator slots into later.
 
 use crate::dopri::{
-    Dopri5, SolverWorkspace, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
-    A65, B1, B3, B4, B5, B6, C2, C3, C4, C5, E1, E3, E4, E5, E6, E7, FAC_MAX, FAC_MIN, SAFETY,
+    Dopri5, SolverWorkspace, StiffnessTest, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61,
+    A62, A63, A64, A65, B1, B3, B4, B5, B6, C2, C3, C4, C5, E1, E3, E4, E5, E6, E7, FAC_MAX,
+    FAC_MIN, SAFETY, STIFF_MAX_DIM,
 };
 use crate::error::OdeError;
 use crate::options::OdeOptions;
 use crate::problem::OdeSystem;
 use crate::recover::{solve_recovering, Recovery};
-use crate::solution::{SolveStats, Trajectory};
-
-/// Step-size controller discipline for a batched solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Independent controllers: per-lane `t`, `h` and accept/reject,
-    /// advancing in lockstep attempts. Per-lane results are bitwise
-    /// identical to serial [`Dopri5::solve_into`] calls.
-    #[default]
-    PerLane,
-    /// One shared controller: one accept/reject per attempt, error norm =
-    /// max over lanes. Cheapest drive; results agree with serial solves to
-    /// within the integration tolerance.
-    Shared,
-}
+use crate::solution::{KnotArena, SolveStats, Trajectory};
+use crate::stiff::{Rodas4, StiffWorkspace};
 
 /// Work counters for one batched solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,15 +56,13 @@ pub struct BatchStats {
     /// Number of lanes the batch was launched with.
     pub width: usize,
     /// Batched right-hand-side kernel invocations (each one evaluates every
-    /// active lane). This is the batched analogue of the scalar
-    /// `rhs_evals` counter — the cost of the *drive* — and the number the
-    /// `batch_sweep_*` benchmark kernels report.
+    /// active lane), explicit and implicit. This is the batched analogue of
+    /// the scalar `rhs_evals` counter — the cost of the *drive* — and the
+    /// number the `batch_sweep_perlane` benchmark kernel reports.
     pub batch_rhs_calls: usize,
     /// Lanes that detached from the batch (non-finite derivative, fault
     /// injection, or a per-lane controller failure).
     pub detached: usize,
-    /// Shared-mode batch restarts triggered by lane detaches.
-    pub restarts: usize,
 }
 
 /// Result of [`Dopri5::solve_batch_into`]: one [`Trajectory`] per healthy
@@ -116,6 +93,8 @@ pub struct BatchSolution {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneState {
     Running,
+    /// Confirmed stiff: waiting for the implicit stepper.
+    Stiff,
     Finished,
     Detached,
 }
@@ -149,11 +128,11 @@ pub struct BatchWorkspace {
     lane_err: Vec<f64>,
     steps: Vec<usize>,
     state: Vec<LaneState>,
+    stiffness: Vec<StiffnessTest>,
     errors: Vec<Option<OdeError>>,
     stats: Vec<SolveStats>,
-    ts: Vec<Vec<f64>>,
-    ys: Vec<Vec<f64>>,
-    ds: Vec<Vec<f64>>,
+    knots: Vec<KnotArena>,
+    stiff: StiffWorkspace,
 }
 
 impl BatchWorkspace {
@@ -201,20 +180,16 @@ impl BatchWorkspace {
         self.steps.resize(width, 0);
         self.state.clear();
         self.state.resize(width, LaneState::Running);
+        self.stiffness.clear();
+        self.stiffness.resize(width, StiffnessTest::default());
         self.errors.clear();
         self.errors.resize(width, None);
         self.stats.clear();
         self.stats.resize(width, SolveStats::default());
-        self.ts.resize_with(width, Vec::new);
-        self.ys.resize_with(width, Vec::new);
-        self.ds.resize_with(width, Vec::new);
-        self.ts.truncate(width);
-        self.ys.truncate(width);
-        self.ds.truncate(width);
-        for b in 0..width {
-            self.ts[b].clear();
-            self.ys[b].clear();
-            self.ds[b].clear();
+        self.knots.resize_with(width, KnotArena::default);
+        self.knots.truncate(width);
+        for arena in &mut self.knots {
+            arena.clear();
         }
     }
 
@@ -226,22 +201,7 @@ impl BatchWorkspace {
 
     /// Appends the current `(t, y[:, b], k1[:, b])` to lane `b`'s arena.
     fn push_knot(&mut self, b: usize, t: f64, n: usize, width: usize) {
-        self.ts[b].push(t);
-        for i in 0..n {
-            self.ys[b].push(self.y[i * width + b]);
-            self.ds[b].push(self.k1[i * width + b]);
-        }
-    }
-
-    /// Moves lane `b`'s arenas into a trajectory.
-    fn take_trajectory(&mut self, b: usize, n: usize) -> Result<Trajectory, OdeError> {
-        Trajectory::from_flat(
-            n,
-            std::mem::take(&mut self.ts[b]),
-            std::mem::take(&mut self.ys[b]),
-            std::mem::take(&mut self.ds[b]),
-            self.stats[b],
-        )
+        self.knots[b].push_column(t, &self.y, &self.k1, n, width, b);
     }
 }
 
@@ -266,8 +226,9 @@ fn column_ne(a: &[f64], b_buf: &[f64], n: usize, width: usize, b: usize) -> bool
 
 impl Dopri5 {
     /// Integrates every lane of `y0s` from `t0` to `t1 >= t0` as one
-    /// structure-of-arrays batch. See the [module docs](self) for the
-    /// controller modes and detach semantics.
+    /// structure-of-arrays batch with per-lane controllers. Each lane is
+    /// bitwise identical to the primary rung of the scalar recovery ladder,
+    /// stiffness hand-off included. See the [module docs](self).
     ///
     /// # Errors
     ///
@@ -276,13 +237,13 @@ impl Dopri5 {
     /// rejected, mirroring the scalar validation. Numerical failures never
     /// fail the call: they detach the affected lane, which comes back as
     /// the `Err` entry of [`BatchOutcome::lanes`].
+    #[allow(clippy::too_many_lines)]
     pub fn solve_batch_into<S: OdeSystem>(
         &self,
         sys: &S,
         t0: f64,
         t1: f64,
         y0s: &[&[f64]],
-        mode: BatchMode,
         ws: &mut BatchWorkspace,
     ) -> Result<BatchOutcome, OdeError> {
         self.options().validate()?;
@@ -306,32 +267,13 @@ impl Dopri5 {
                 stats: BatchStats::default(),
             });
         }
-        match mode {
-            BatchMode::PerLane => self.batch_per_lane(sys, t0, t1, y0s, ws),
-            BatchMode::Shared => self.batch_shared(sys, t0, t1, y0s, ws),
-        }
-    }
-
-    /// Per-lane controllers in lockstep: every active lane performs one
-    /// step attempt per iteration, with its own `t`, `h` and accept/reject
-    /// decision, all batched through `rhs_batch`. Each lane's arithmetic
-    /// replicates [`Dopri5::solve_into`] exactly.
-    fn batch_per_lane<S: OdeSystem>(
-        &self,
-        sys: &S,
-        t0: f64,
-        t1: f64,
-        y0s: &[&[f64]],
-        ws: &mut BatchWorkspace,
-    ) -> Result<BatchOutcome, OdeError> {
-        let n = sys.dim();
         let w = y0s.len();
         ws.reset(n, w);
         let mut calls = 0usize;
 
         self.batch_init(sys, t0, y0s, ws, n, w, &mut calls);
         if t1 == t0 {
-            return self.batch_finish(ws, n, w, calls, 0);
+            return Ok(self.batch_finish(ws, n, w, calls));
         }
         match self.options().h_init {
             Some(h) => {
@@ -342,6 +284,7 @@ impl Dopri5 {
             }
             None => self.batch_initial_step(sys, t0, t1, ws, n, w, &mut calls),
         }
+        let detect_stiffness = n <= STIFF_MAX_DIM;
 
         loop {
             // Per-lane pre-step control: step budget and h_min underflow,
@@ -401,7 +344,8 @@ impl Dopri5 {
                 }
             }
 
-            // Accept/reject per lane.
+            // Accept/reject per lane. A lane whose accepted step confirms
+            // stiffness leaves the lockstep after its step-size update.
             let mut any_refresh = false;
             for b in 0..w {
                 ws.accept_mask[b] = false;
@@ -412,6 +356,20 @@ impl Dopri5 {
                 if ws.lane_err[b] <= 1.0 || ws.lane_h[b] <= self.options().h_min {
                     ws.accept_mask[b] = true;
                     ws.stats[b].accepted += 1;
+                    // y_stage still holds stage 6's argument: sample the
+                    // stiffness test before it is reused below.
+                    if detect_stiffness && ws.stiffness[b].due(ws.stats[b].accepted) {
+                        let mut num_sq = 0.0;
+                        let mut den_sq = 0.0;
+                        for i in 0..n {
+                            let j = i * w + b;
+                            num_sq += (ws.k7[j] - ws.k6[j]) * (ws.k7[j] - ws.k6[j]);
+                            den_sq += (ws.y_new[j] - ws.y_stage[j]) * (ws.y_new[j] - ws.y_stage[j]);
+                        }
+                        if ws.stiffness[b].record(ws.lane_h[b], num_sq, den_sq) {
+                            ws.state[b] = LaneState::Stiff;
+                        }
+                    }
                     // Stash the pre-projection state (scalar: y_stage).
                     copy_column(&ws.y_new, &mut ws.y_stage, n, w, b);
                     ws.stage_t[b] = ws.lane_t[b] + ws.lane_h[b];
@@ -455,198 +413,37 @@ impl Dopri5 {
                 }
             }
         }
-        self.batch_finish(ws, n, w, calls, 0)
-    }
 
-    /// Shared controller with restart-on-detach: integrate the active lane
-    /// subset; whenever a lane's derivative or error estimate goes
-    /// non-finite, drop it and restart the whole batch from `t0` so the
-    /// survivors' step history is free of the bad lane's influence.
-    fn batch_shared<S: OdeSystem>(
-        &self,
-        sys: &S,
-        t0: f64,
-        t1: f64,
-        y0s: &[&[f64]],
-        ws: &mut BatchWorkspace,
-    ) -> Result<BatchOutcome, OdeError> {
-        let w = y0s.len();
-        let mut lanes: Vec<Option<Result<Trajectory, OdeError>>> = (0..w).map(|_| None).collect();
-        let mut active: Vec<usize> = (0..w).collect();
-        let mut calls = 0usize;
-        let mut restarts = 0usize;
-        while !active.is_empty() {
-            let sub: Vec<&[f64]> = active.iter().map(|&slot| y0s[slot]).collect();
-            match self.shared_attempt(sys, t0, t1, &sub, ws, &mut calls) {
-                SharedRun::Done(trajectories) => {
-                    for (&slot, trajectory) in active.iter().zip(trajectories) {
-                        lanes[slot] = Some(Ok(trajectory));
-                    }
-                    break;
+        // Stiff lanes: finished in place by the implicit stepper, in
+        // lockstep, from each lane's hand-off point.
+        if ws.state.contains(&LaneState::Stiff) {
+            ws.stiff.reset(n, w);
+            for b in 0..w {
+                if ws.state[b] == LaneState::Stiff {
+                    ws.stats[b].stiff_switches += 1;
+                    ws.stiff
+                        .load(b, ws.lane_t[b], ws.lane_h[b], ws.steps[b], &ws.y, &ws.k1);
                 }
-                SharedRun::Detach { lane, error } => {
-                    let slot = active.remove(lane);
-                    lanes[slot] = Some(Err(error));
-                    if !active.is_empty() {
-                        restarts += 1;
+            }
+            Rodas4::new(*self.options()).drive(
+                sys,
+                true,
+                t1,
+                &mut ws.stiff,
+                &mut ws.knots,
+                &mut ws.stats,
+                &mut calls,
+            );
+            for b in 0..w {
+                if ws.state[b] == LaneState::Stiff {
+                    match ws.stiff.take_error(b) {
+                        Some(error) => ws.detach(b, error),
+                        None => ws.state[b] = LaneState::Finished,
                     }
-                }
-                SharedRun::Fail(error) => {
-                    for &slot in &active {
-                        lanes[slot] = Some(Err(error.clone()));
-                    }
-                    break;
                 }
             }
         }
-        let lanes: Vec<Result<Trajectory, OdeError>> = lanes
-            .into_iter()
-            .map(|lane| lane.unwrap_or_else(|| unreachable!("every lane is resolved")))
-            .collect();
-        let detached = lanes.iter().filter(|lane| lane.is_err()).count();
-        Ok(BatchOutcome {
-            lanes,
-            stats: BatchStats {
-                width: w,
-                batch_rhs_calls: calls,
-                detached,
-                restarts,
-            },
-        })
-    }
-
-    /// One shared-controller run over the lane subset `y0s`. Returns the
-    /// finished trajectories, the first lane that must detach, or a
-    /// whole-batch controller failure.
-    fn shared_attempt<S: OdeSystem>(
-        &self,
-        sys: &S,
-        t0: f64,
-        t1: f64,
-        y0s: &[&[f64]],
-        ws: &mut BatchWorkspace,
-        calls: &mut usize,
-    ) -> SharedRun {
-        let n = sys.dim();
-        let w = y0s.len();
-        ws.reset(n, w);
-        self.batch_init(sys, t0, y0s, ws, n, w, calls);
-        for b in 0..w {
-            if ws.state[b] == LaneState::Detached {
-                let error = ws.errors[b].clone().unwrap_or_else(|| unreachable!());
-                return SharedRun::Detach { lane: b, error };
-            }
-        }
-        let take_all = |ws: &mut BatchWorkspace| -> SharedRun {
-            let mut out = Vec::with_capacity(w);
-            for b in 0..w {
-                match ws.take_trajectory(b, n) {
-                    Ok(trajectory) => out.push(trajectory),
-                    Err(e) => return SharedRun::Fail(e),
-                }
-            }
-            SharedRun::Done(out)
-        };
-        if t1 == t0 {
-            return take_all(ws);
-        }
-        let mut h = match self.options().h_init {
-            Some(h) => h.min(self.options().h_max).min(t1 - t0),
-            None => {
-                self.batch_initial_step(sys, t0, t1, ws, n, w, calls);
-                // The shared controller starts at the most cautious lane's
-                // automatic step. NaN-ignoring min, like the scalar chain.
-                let mut h = f64::INFINITY;
-                for b in 0..w {
-                    h = h.min(ws.lane_h[b]);
-                }
-                h
-            }
-        };
-        let mut t = t0;
-        let mut steps = 0usize;
-        while t < t1 {
-            steps += 1;
-            if steps > self.options().max_steps {
-                return SharedRun::Fail(OdeError::MaxStepsExceeded {
-                    steps: self.options().max_steps,
-                    t,
-                });
-            }
-            h = h.min(t1 - t).min(self.options().h_max);
-            if h < self.options().h_min {
-                if t1 - t > self.options().h_min {
-                    return SharedRun::Fail(OdeError::StepSizeTooSmall { t, h });
-                }
-                h = t1 - t;
-            }
-            for b in 0..w {
-                ws.lane_t[b] = t;
-                ws.lane_h[b] = h;
-                ws.step_mask[b] = true;
-            }
-            self.batch_stages(sys, ws, n, w, calls);
-            for b in 0..w {
-                ws.stats[b].rhs_evals += 6;
-                if !column_finite(&ws.k7, n, w, b) {
-                    return SharedRun::Detach {
-                        lane: b,
-                        error: OdeError::NonFiniteDerivative { t: t + h },
-                    };
-                }
-            }
-            // Shared error norm: max over the per-lane scaled RMS norms. A
-            // non-finite per-lane norm detaches that lane (its stages are
-            // poisoned even though k7 came back finite).
-            let mut err = 0.0_f64;
-            for b in 0..w {
-                let lane_err = self.lane_error(ws, n, w, b);
-                if !lane_err.is_finite() {
-                    return SharedRun::Detach {
-                        lane: b,
-                        error: OdeError::NonFiniteDerivative { t: t + h },
-                    };
-                }
-                err = err.max(lane_err);
-            }
-            if err <= 1.0 || h <= self.options().h_min {
-                let t_new = t + h;
-                for b in 0..w {
-                    ws.stats[b].accepted += 1;
-                    copy_column(&ws.y_new, &mut ws.y_stage, n, w, b);
-                    ws.stage_t[b] = t_new;
-                    ws.accept_mask[b] = true;
-                }
-                sys.project_batch(&ws.stage_t, &ws.accept_mask, &mut ws.y_new, w);
-                let mut any_refresh = false;
-                for b in 0..w {
-                    ws.refresh_mask[b] = column_ne(&ws.y_new, &ws.y_stage, n, w, b);
-                    any_refresh |= ws.refresh_mask[b];
-                }
-                if any_refresh {
-                    sys.rhs_batch(&ws.stage_t, &ws.refresh_mask, &ws.y_new, &mut ws.k7, w);
-                    *calls += 1;
-                    for b in 0..w {
-                        if ws.refresh_mask[b] {
-                            ws.stats[b].rhs_evals += 1;
-                        }
-                    }
-                }
-                t = t_new;
-                for b in 0..w {
-                    copy_column(&ws.y_new, &mut ws.y, n, w, b);
-                    copy_column(&ws.k7, &mut ws.k1, n, w, b);
-                    ws.push_knot(b, t, n, w);
-                }
-            } else {
-                for b in 0..w {
-                    ws.stats[b].rejected += 1;
-                }
-            }
-            let fac = (SAFETY * err.powf(-0.2)).clamp(FAC_MIN, FAC_MAX);
-            h *= fac;
-        }
-        take_all(ws)
+        Ok(self.batch_finish(ws, n, w, calls))
     }
 
     /// Common batch initialisation: seed the state columns, project,
@@ -885,8 +682,7 @@ impl Dopri5 {
         n: usize,
         w: usize,
         calls: usize,
-        restarts: usize,
-    ) -> Result<BatchOutcome, OdeError> {
+    ) -> BatchOutcome {
         let mut lanes = Vec::with_capacity(w);
         let mut detached = 0usize;
         for b in 0..w {
@@ -895,26 +691,18 @@ impl Dopri5 {
                 let error = ws.errors[b].clone().unwrap_or_else(|| unreachable!());
                 lanes.push(Err(error));
             } else {
-                lanes.push(ws.take_trajectory(b, n));
+                lanes.push(ws.knots[b].take_trajectory(n, ws.stats[b]));
             }
         }
-        Ok(BatchOutcome {
+        BatchOutcome {
             lanes,
             stats: BatchStats {
                 width: w,
                 batch_rhs_calls: calls,
                 detached,
-                restarts,
             },
-        })
+        }
     }
-}
-
-/// Outcome of one shared-controller run.
-enum SharedRun {
-    Done(Vec<Trajectory>),
-    Detach { lane: usize, error: OdeError },
-    Fail(OdeError),
 }
 
 /// Integrates every lane through the batched drive, then routes detached
@@ -929,18 +717,16 @@ enum SharedRun {
 /// range or a mis-sized lane. Per-lane numerical failures surface as the
 /// `Err` entries of [`BatchSolution::lanes`] (the scalar ladder's primary
 /// error, matching what a serial [`solve_recovering`] call would report).
-#[allow(clippy::too_many_arguments)]
 pub fn solve_batch_recovering<S: OdeSystem>(
     sys: &S,
     t0: f64,
     t1: f64,
     y0s: &[&[f64]],
     options: &OdeOptions,
-    mode: BatchMode,
     ws: &mut BatchWorkspace,
     scalar_ws: &mut SolverWorkspace,
 ) -> Result<BatchSolution, OdeError> {
-    let outcome = Dopri5::new(*options).solve_batch_into(sys, t0, t1, y0s, mode, ws)?;
+    let outcome = Dopri5::new(*options).solve_batch_into(sys, t0, t1, y0s, ws)?;
     let mut lanes = Vec::with_capacity(outcome.lanes.len());
     for (b, lane) in outcome.lanes.into_iter().enumerate() {
         match lane {
@@ -966,13 +752,6 @@ mod tests {
         FnSystem::new(2, |_t, y: &[f64], dy: &mut [f64]| {
             dy[0] = -y[0];
             dy[1] = -2.0 * y[1] + 0.1 * y[0];
-        })
-    }
-
-    fn oscillator() -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
-        FnSystem::new(2, |_t, y: &[f64], dy: &mut [f64]| {
-            dy[0] = y[1];
-            dy[1] = -y[0];
         })
     }
 
@@ -1045,7 +824,7 @@ mod tests {
         let sys = decay();
         let mut ws = BatchWorkspace::new();
         let out = solver()
-            .solve_batch_into(&sys, 0.0, 3.0, &lanes3(), BatchMode::PerLane, &mut ws)
+            .solve_batch_into(&sys, 0.0, 3.0, &lanes3(), &mut ws)
             .unwrap();
         assert_eq!(out.stats.width, 3);
         assert_eq!(out.stats.detached, 0);
@@ -1064,7 +843,7 @@ mod tests {
         let refs: Vec<&[f64]> = y0s.iter().map(|y0| y0.as_slice()).collect();
         let mut ws = BatchWorkspace::new();
         let out = solver()
-            .solve_batch_into(&sys, 0.0, 5.0, &refs, BatchMode::PerLane, &mut ws)
+            .solve_batch_into(&sys, 0.0, 5.0, &refs, &mut ws)
             .unwrap();
         for (lane, y0) in out.lanes.iter().zip(y0s.iter()) {
             let serial = solver().solve(&sys, 0.0, 5.0, y0).unwrap();
@@ -1073,59 +852,17 @@ mod tests {
     }
 
     #[test]
-    fn width_one_shared_batch_is_bitwise_identical_to_serial() {
-        let sys = oscillator();
-        let y0 = [1.0, 0.0];
-        let mut ws = BatchWorkspace::new();
-        let out = solver()
-            .solve_batch_into(&sys, 0.0, 6.0, &[&y0], BatchMode::Shared, &mut ws)
-            .unwrap();
-        let serial = solver().solve(&sys, 0.0, 6.0, &y0).unwrap();
-        assert_eq!(out.lanes[0].as_ref().unwrap(), &serial);
-    }
-
-    #[test]
-    fn shared_batch_agrees_with_serial_within_tolerance() {
-        let sys = oscillator();
-        let mut ws = BatchWorkspace::new();
-        let out = solver()
-            .solve_batch_into(&sys, 0.0, 6.0, &lanes3(), BatchMode::Shared, &mut ws)
-            .unwrap();
-        for (lane, y0) in out.lanes.iter().zip(Y0S.iter()) {
-            let batched = lane.as_ref().unwrap();
-            let serial = solver().solve(&sys, 0.0, 6.0, y0).unwrap();
-            for k in 0..=60 {
-                let t = 0.1 * k as f64;
-                let a = batched.eval(t);
-                let b = serial.eval(t);
-                for (x, y) in a.iter().zip(b.iter()) {
-                    // Sampled between knots, the dominant term is the two
-                    // interpolants' O(h^4) Hermite error (the knot grids
-                    // differ), not the controllers' rtol.
-                    assert!((x - y).abs() <= 1e-7, "t={t}: {x} vs {y}");
-                }
-            }
-        }
-        // The whole sweep rode one controller: the drive cost is one
-        // solve's worth of batched calls, far below three serial solves.
-        let serial_evals = solver().solve(&sys, 0.0, 6.0, &Y0S[0]).unwrap().stats().rhs_evals;
-        assert!(out.stats.batch_rhs_calls <= 2 * serial_evals);
-    }
-
-    #[test]
     fn zero_length_interval_returns_initial_knot_per_lane() {
         let sys = decay();
         let mut ws = BatchWorkspace::new();
-        for mode in [BatchMode::PerLane, BatchMode::Shared] {
-            let out = solver()
-                .solve_batch_into(&sys, 1.5, 1.5, &lanes3(), mode, &mut ws)
-                .unwrap();
-            for (lane, y0) in out.lanes.iter().zip(Y0S.iter()) {
-                let tr = lane.as_ref().unwrap();
-                assert_eq!(tr.t_start(), 1.5);
-                assert_eq!(tr.t_end(), 1.5);
-                assert_eq!(tr.eval(1.5), y0.to_vec());
-            }
+        let out = solver()
+            .solve_batch_into(&sys, 1.5, 1.5, &lanes3(), &mut ws)
+            .unwrap();
+        for (lane, y0) in out.lanes.iter().zip(Y0S.iter()) {
+            let tr = lane.as_ref().unwrap();
+            assert_eq!(tr.t_start(), 1.5);
+            assert_eq!(tr.t_end(), 1.5);
+            assert_eq!(tr.eval(1.5), y0.to_vec());
         }
     }
 
@@ -1134,7 +871,7 @@ mod tests {
         let sys = decay();
         let mut ws = BatchWorkspace::new();
         let out = solver()
-            .solve_batch_into(&sys, 0.0, 1.0, &[], BatchMode::PerLane, &mut ws)
+            .solve_batch_into(&sys, 0.0, 1.0, &[], &mut ws)
             .unwrap();
         assert!(out.lanes.is_empty());
         assert_eq!(out.stats.batch_rhs_calls, 0);
@@ -1151,12 +888,10 @@ mod tests {
             (0.0, f64::NAN, vec![good.as_slice()]),
             (0.0, 1.0, vec![good.as_slice(), bad_dim.as_slice()]),
         ] {
-            for mode in [BatchMode::PerLane, BatchMode::Shared] {
-                let err = solver()
-                    .solve_batch_into(&sys, t0, t1, &y0s, mode, &mut ws)
-                    .unwrap_err();
-                assert!(matches!(err, OdeError::InvalidArgument(_)), "{err:?}");
-            }
+            let err = solver()
+                .solve_batch_into(&sys, t0, t1, &y0s, &mut ws)
+                .unwrap_err();
+            assert!(matches!(err, OdeError::InvalidArgument(_)), "{err:?}");
         }
     }
 
@@ -1168,7 +903,7 @@ mod tests {
         };
         let mut ws = BatchWorkspace::new();
         let out = solver()
-            .solve_batch_into(&sys, 0.0, 3.0, &lanes3(), BatchMode::PerLane, &mut ws)
+            .solve_batch_into(&sys, 0.0, 3.0, &lanes3(), &mut ws)
             .unwrap();
         assert_eq!(out.stats.detached, 1);
         assert!(matches!(
@@ -1181,61 +916,6 @@ mod tests {
         }
     }
 
-    /// Wrapper that poisons the column whose state matches a signature
-    /// bitwise — which only happens at `t0`, where the state *is* the
-    /// initial condition. Unlike a column index, the signature tracks the
-    /// lane across shared-mode restarts (survivors never match it).
-    struct PoisonSignature<S> {
-        inner: S,
-        sig: [f64; 2],
-    }
-
-    impl<S: OdeSystem> OdeSystem for PoisonSignature<S> {
-        fn dim(&self) -> usize {
-            self.inner.dim()
-        }
-
-        fn rhs(&self, t: f64, y: &[f64], dy: &mut [f64]) {
-            self.inner.rhs(t, y, dy);
-        }
-
-        fn rhs_batch(&self, ts: &[f64], active: &[bool], y: &[f64], dy: &mut [f64], width: usize) {
-            self.inner.rhs_batch(ts, active, y, dy, width);
-            for b in 0..width {
-                if active[b] && y[b] == self.sig[0] && y[width + b] == self.sig[1] {
-                    for i in 0..self.dim() {
-                        dy[i * width + b] = f64::NAN;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_poisoned_lane_triggers_restart_without_it() {
-        let sys = PoisonSignature {
-            inner: oscillator(),
-            sig: Y0S[1],
-        };
-        let mut ws = BatchWorkspace::new();
-        let out = solver()
-            .solve_batch_into(&sys, 0.0, 4.0, &lanes3(), BatchMode::Shared, &mut ws)
-            .unwrap();
-        assert_eq!(out.stats.detached, 1);
-        assert_eq!(out.stats.restarts, 1);
-        assert!(out.lanes[1].is_err());
-        // Survivors are bitwise equal to a fresh shared batch launched on
-        // the healthy subset alone: the restart purged the bad lane's
-        // influence on the controller history.
-        let healthy: Vec<&[f64]> = vec![&Y0S[0], &Y0S[2]];
-        let mut ws2 = BatchWorkspace::new();
-        let clean = solver()
-            .solve_batch_into(&sys.inner, 0.0, 4.0, &healthy, BatchMode::Shared, &mut ws2)
-            .unwrap();
-        assert_eq!(out.lanes[0].as_ref().unwrap(), clean.lanes[0].as_ref().unwrap());
-        assert_eq!(out.lanes[2].as_ref().unwrap(), clean.lanes[1].as_ref().unwrap());
-    }
-
     #[test]
     fn recovering_batch_routes_detached_lane_through_scalar_ladder() {
         let sys = PoisonBatch {
@@ -1245,17 +925,9 @@ mod tests {
         let options = OdeOptions::default();
         let mut ws = BatchWorkspace::new();
         let mut scalar_ws = SolverWorkspace::new();
-        let sol = solve_batch_recovering(
-            &sys,
-            0.0,
-            3.0,
-            &lanes3(),
-            &options,
-            BatchMode::PerLane,
-            &mut ws,
-            &mut scalar_ws,
-        )
-        .unwrap();
+        let sol =
+            solve_batch_recovering(&sys, 0.0, 3.0, &lanes3(), &options, &mut ws, &mut scalar_ws)
+                .unwrap();
         assert_eq!(sol.stats.detached, 1);
         // The poisoned lane's scalar rhs is clean, so the ladder's primary
         // rung succeeds: the lane comes back bitwise equal to a serial
@@ -1273,15 +945,55 @@ mod tests {
         }
     }
 
+    /// `y₀' = −10⁵·y₁·(y₀ − cos t)`, `y₁' = 0`: each lane's second
+    /// component sets its stiffness, so one batch mixes lanes that hand off
+    /// to the implicit stepper with lanes that never do.
+    fn mixed_stiffness() -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
+        FnSystem::new(2, |t: f64, y: &[f64], dy: &mut [f64]| {
+            dy[0] = -1e5 * y[1] * (y[0] - t.cos());
+            dy[1] = 0.0;
+        })
+    }
+
+    #[test]
+    fn stiff_lanes_finish_in_place_bitwise_equal_to_scalar() {
+        let sys = mixed_stiffness();
+        let y0s: [[f64; 2]; 3] = [[1.0, 1e-5], [1.0, 1.0], [1.0, 10.0]];
+        let refs: Vec<&[f64]> = y0s.iter().map(|y0| y0.as_slice()).collect();
+        let options = OdeOptions::default();
+        let mut ws = BatchWorkspace::new();
+        let out = Dopri5::new(options)
+            .solve_batch_into(&sys, 0.0, 5.0, &refs, &mut ws)
+            .unwrap();
+        assert_eq!(out.stats.detached, 0);
+        let mut scalar_evals = 0;
+        for (b, (lane, y0)) in out.lanes.iter().zip(&y0s).enumerate() {
+            let mut scalar_ws = SolverWorkspace::new();
+            let (serial, recovery) =
+                solve_recovering(&sys, 0.0, 5.0, y0, &options, &mut scalar_ws).unwrap();
+            assert_eq!(recovery, Recovery::None);
+            assert_eq!(lane.as_ref().unwrap(), &serial, "lane {b}");
+            assert_eq!(
+                serial.stats().stiff_switches,
+                usize::from(b > 0),
+                "lane {b}"
+            );
+            scalar_evals += serial.stats().rhs_evals;
+        }
+        // The implicit phase rides the batched kernel too: its evaluations
+        // count once per batched call, not once per lane.
+        assert!(out.stats.batch_rhs_calls < scalar_evals, "{:?}", out.stats);
+    }
+
     #[test]
     fn workspace_reuse_across_widths_is_clean() {
         let sys = decay();
         let mut ws = BatchWorkspace::new();
         let wide = solver()
-            .solve_batch_into(&sys, 0.0, 2.0, &lanes3(), BatchMode::PerLane, &mut ws)
+            .solve_batch_into(&sys, 0.0, 2.0, &lanes3(), &mut ws)
             .unwrap();
         let narrow = solver()
-            .solve_batch_into(&sys, 0.0, 2.0, &[&Y0S[1]], BatchMode::PerLane, &mut ws)
+            .solve_batch_into(&sys, 0.0, 2.0, &[&Y0S[1]], &mut ws)
             .unwrap();
         assert_eq!(
             narrow.lanes[0].as_ref().unwrap(),
@@ -1298,7 +1010,7 @@ mod tests {
         };
         let mut ws = BatchWorkspace::new();
         let out = Dopri5::new(options)
-            .solve_batch_into(&sys, 0.0, 1.0, &lanes3(), BatchMode::PerLane, &mut ws)
+            .solve_batch_into(&sys, 0.0, 1.0, &lanes3(), &mut ws)
             .unwrap();
         for (lane, y0) in out.lanes.iter().zip(Y0S.iter()) {
             let serial = Dopri5::new(options).solve(&sys, 0.0, 1.0, y0).unwrap();

@@ -14,14 +14,18 @@
 //!   control and cubic-Hermite dense output; the production solver;
 //! * [`fixed`] — fixed-step Euler, Heun and classic RK4, used for
 //!   convergence testing and as ablation baselines;
-//! * [`stiff::ImplicitTrapezoid`] — an A-stable implicit method with Newton
-//!   iteration, the fallback for stiff rate regimes.
+//! * [`stiff::Rodas4`] — an adaptive, L-stable Rosenbrock method of order
+//!   4(3) for stiff rate regimes;
+//! * [`stiff::ImplicitTrapezoid`] — a fixed-step A-stable implicit method
+//!   with Newton iteration, an independent reference for stiff problems.
 //!
-//! [`recover::solve_recovering`] chains them into a **recovery ladder**
-//! (plain Dopri5 → relaxed controller → implicit trapezoid) that the
-//! checking pipeline uses for every trajectory solve, and [`fault`]
-//! provides a deterministic, seeded fault-injection wrapper for chaos
-//! testing that ladder.
+//! [`recover::solve_recovering`] is the entry point the checking pipeline
+//! uses for every trajectory solve: Dopri5 with Hairer's stiffness test,
+//! handing off once to `Rodas4` when a solve turns stiff, inside a
+//! **recovery ladder** (relaxed controller → `Rodas4` from the start) for
+//! solves that fail. [`batch`] runs the same primary rung over many
+//! initial states at once, and [`fault`] provides a deterministic, seeded
+//! fault-injection wrapper for chaos testing the ladder.
 //!
 //! # Events
 //!
@@ -65,7 +69,7 @@ pub mod recover;
 pub mod solution;
 pub mod stiff;
 
-pub use batch::{solve_batch_recovering, BatchMode, BatchOutcome, BatchSolution, BatchStats, BatchWorkspace};
+pub use batch::{solve_batch_recovering, BatchOutcome, BatchSolution, BatchStats, BatchWorkspace};
 pub use dopri::SolverWorkspace;
 pub use error::OdeError;
 pub use fault::{FaultMode, FaultPlan, FaultySystem};

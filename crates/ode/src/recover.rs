@@ -2,22 +2,26 @@
 //!
 //! The model checker's whole output is computed from ODE-integrated
 //! probabilities, so an integration failure is the product failing. This
-//! module turns a hard [`Dopri5`] failure into a graceful degradation
-//! sequence:
+//! module is the one entry point every checking-pipeline solve goes
+//! through. Its primary rung also owns the **stiffness hand-off**:
 //!
-//! 1. **Primary** — the exact [`Dopri5::solve_into`] call the caller would
-//!    have made. When it succeeds, the result is bitwise identical to a
-//!    ladder-free solve.
+//! 1. **Primary** — the [`Dopri5`] drive the caller would have run, with
+//!    Hairer's stiffness test sampled on accepted steps. A solve that never
+//!    confirms stiffness is bitwise identical to [`Dopri5::solve_into`].
+//!    One that does switches once, from its current `(t, y, f, h)`, to the
+//!    L-stable [`Rodas4`] stepper for the rest of the span; the knots land
+//!    in the same trajectory and [`SolveStats::stiff_switches`] counts the
+//!    hand-off. That is not a recovery: nothing failed.
 //! 2. **Relaxed controller** — on [`OdeError::StepSizeTooSmall`],
 //!    [`OdeError::MaxStepsExceeded`] or [`OdeError::NonFiniteDerivative`],
-//!    retry with tolerances loosened to at least
+//!    retry plain Dopri5 with tolerances loosened to at least
 //!    ([`RELAXED_RTOL`], [`RELAXED_ATOL`]): a transiently fussy error
 //!    estimate (fast but benign dynamics, a spiky derivative) often clears
 //!    at engineering accuracy.
-//! 3. **Stiff fallback** — if the relaxed controller also fails, hand the
-//!    problem to the A-stable [`ImplicitTrapezoid`], whose step size is not
-//!    stability-limited. Its output is a [`Trajectory`] like any other, so
-//!    dense-output consumers are oblivious to which rung produced it.
+//! 3. **Stiff fallback** — if the relaxed controller also fails, run
+//!    [`Rodas4`] over the whole span with the caller's options. Its step
+//!    size is not stability-limited, so it finishes stiff problems the
+//!    primary rung could not reach a stiffness sample on.
 //!
 //! Recoveries are recorded in the returned trajectory's [`SolveStats`]
 //! (`recoveries`, `stiff_fallbacks`) so every layer above — engine stats,
@@ -29,37 +33,30 @@
 //! and tests want to see.
 //!
 //! [`SolveStats`]: crate::SolveStats
+//! [`SolveStats::stiff_switches`]: crate::SolveStats::stiff_switches
 
-use crate::dopri::{Dopri5, SolverWorkspace};
+use crate::dopri::{Dopri5, Drive, SolverWorkspace};
 use crate::error::OdeError;
 use crate::options::OdeOptions;
 use crate::problem::OdeSystem;
 use crate::solution::Trajectory;
-use crate::stiff::ImplicitTrapezoid;
+use crate::stiff::Rodas4;
 
 /// Relative-tolerance floor used by the relaxed retry rung.
 pub const RELAXED_RTOL: f64 = 1e-6;
 /// Absolute-tolerance floor used by the relaxed retry rung.
 pub const RELAXED_ATOL: f64 = 1e-9;
 
-/// Trapezoid steps per `h_max` interval of the requested span: ×4
-/// oversampling keeps the dense output's interpolation error comparable to
-/// the adaptive solver's own `h_max` cap.
-const FALLBACK_STEPS_PER_H_MAX: usize = 4;
-/// Floor on trapezoid steps, so short spans still resolve the dynamics.
-const FALLBACK_MIN_STEPS: usize = 64;
-/// Ceiling on trapezoid steps, bounding fallback cost on huge horizons.
-const FALLBACK_MAX_STEPS: usize = 50_000;
-
 /// Which rung of the ladder produced a recovered solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
-    /// The primary adaptive solve succeeded; output is bitwise identical to
-    /// calling [`Dopri5::solve_into`] directly.
+    /// The primary solve succeeded, possibly after a stiffness hand-off
+    /// (see [`crate::SolveStats::stiff_switches`]); without one the output
+    /// is bitwise identical to calling [`Dopri5::solve_into`] directly.
     None,
     /// The relaxed-tolerance retry succeeded.
     Relaxed,
-    /// The A-stable implicit-trapezoid fallback produced the solution.
+    /// The implicit [`Rodas4`] fallback produced the solution.
     StiffFallback,
 }
 
@@ -85,31 +82,33 @@ pub fn relaxed_options(options: &OdeOptions) -> OdeOptions {
     )
 }
 
-/// Number of fixed trapezoid steps used by the fallback rung for the span
-/// `[t0, t1]` under `options`. Deterministic in its inputs.
-#[must_use]
-pub fn fallback_steps(t0: f64, t1: f64, options: &OdeOptions) -> usize {
-    let span = (t1 - t0).abs();
-    if !(span > 0.0) || !span.is_finite() {
-        return FALLBACK_MIN_STEPS;
-    }
-    // h_max is validated positive before the ladder ever reaches this rung.
-    let per_h_max = (span / options.h_max).ceil();
-    let per_h_max = if per_h_max.is_finite() && per_h_max >= 0.0 {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        {
-            per_h_max.min(usize::MAX as f64) as usize
+/// The primary rung: the detecting Dopri5 drive, finished by [`Rodas4`]
+/// from the hand-off point when it confirms stiffness.
+fn primary<S: OdeSystem>(
+    sys: &S,
+    t0: f64,
+    t1: f64,
+    y0: &[f64],
+    options: &OdeOptions,
+    ws: &mut SolverWorkspace,
+) -> Result<Trajectory, OdeError> {
+    match Dopri5::new(*options).drive(sys, t0, t1, y0, ws, true)? {
+        Drive::Done(trajectory) => Ok(trajectory),
+        Drive::Stiff {
+            t,
+            h,
+            steps,
+            mut stats,
+        } => {
+            stats.stiff_switches += 1;
+            Rodas4::new(*options).finish_scalar(sys, t, t1, h, steps, ws, &mut stats)?;
+            ws.knots.take_trajectory(sys.dim(), stats)
         }
-    } else {
-        FALLBACK_MAX_STEPS
-    };
-    per_h_max
-        .saturating_mul(FALLBACK_STEPS_PER_H_MAX)
-        .clamp(FALLBACK_MIN_STEPS, FALLBACK_MAX_STEPS)
+    }
 }
 
 /// Integrates `sys` over `[t0, t1]` through the recovery ladder, reusing
-/// `ws` for the adaptive rungs.
+/// `ws` for every rung.
 ///
 /// Returns the trajectory together with the rung that produced it. When the
 /// result was recovered, its [`Trajectory::stats`] carry the recovery
@@ -128,7 +127,7 @@ pub fn solve_recovering<S: OdeSystem>(
     options: &OdeOptions,
     ws: &mut SolverWorkspace,
 ) -> Result<(Trajectory, Recovery), OdeError> {
-    let primary_err = match Dopri5::new(*options).solve_into(sys, t0, t1, y0, ws) {
+    let primary_err = match primary(sys, t0, t1, y0, options, ws) {
         Ok(trajectory) => return Ok((trajectory, Recovery::None)),
         Err(e) if !recoverable(&e) => return Err(e),
         Err(e) => e,
@@ -145,9 +144,8 @@ pub fn solve_recovering<S: OdeSystem>(
             Err(_) => {}
         }
     }
-    // Rung 3: A-stable implicit trapezoid with a deterministic step count.
-    let steps = fallback_steps(t0, t1, options);
-    match ImplicitTrapezoid::default().solve(sys, t0, t1, y0, steps) {
+    // Rung 3: the implicit stepper over the whole span.
+    match Rodas4::new(*options).solve_into(sys, t0, t1, y0, ws) {
         Ok(mut trajectory) => {
             trajectory.mark_recovered(true);
             Ok((trajectory, Recovery::StiffFallback))
@@ -162,8 +160,8 @@ mod tests {
     use crate::problem::FnSystem;
 
     /// y' = -λ(y - cos t), the classic stiff test problem: the solution
-    /// hugs cos t but the stability limit forces h ≈ 2.8/λ on explicit
-    /// methods.
+    /// hugs cos t (exactly, cos t + sin t/λ + O(1/λ²) from y(0) = 1) but
+    /// the stability limit forces h ≈ 2.8/λ on explicit methods.
     fn stiff_sys(lambda: f64) -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
         FnSystem::new(1, move |t: f64, y: &[f64], dy: &mut [f64]| {
             dy[0] = -lambda * (y[0] - t.cos());
@@ -185,14 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn stiff_problem_fails_plain_and_recovers_via_trapezoid() {
+    fn stiff_problem_fails_plain_and_switches_to_rodas_without_recovery() {
         let lambda = 1e7;
         let sys = stiff_sys(lambda);
         // Stability limits Dopri5 to h ≈ 2.8/λ; the step budget makes it
         // give up quickly instead of grinding out millions of tiny steps.
-        // Start on the smooth solution (y(0) = cos 0): the trapezoid is
-        // A-stable but not L-stable, so an inconsistent initial transient
-        // would oscillate undamped instead of decaying.
         let options = OdeOptions::default().with_max_steps(20_000);
         let plain = Dopri5::new(options).solve(&sys, 0.0, 10.0, &[1.0]);
         assert!(
@@ -202,20 +197,69 @@ mod tests {
             ),
             "expected the plain solver to fail on the stiff fixture, got {plain:?}"
         );
+        // The primary rung detects the stiffness at its first sample and
+        // hands the span to Rodas4: no rung failed, nothing was recovered.
         let mut ws = SolverWorkspace::new();
         let (trajectory, recovery) =
             solve_recovering(&sys, 0.0, 10.0, &[1.0], &options, &mut ws).unwrap();
-        assert_eq!(recovery, Recovery::StiffFallback);
-        assert_eq!(trajectory.stats().recoveries, 1);
-        assert_eq!(trajectory.stats().stiff_fallbacks, 1);
-        // For large λ the exact solution is ≈ cos t + O(1/λ).
-        let y5 = trajectory.eval(5.0)[0];
-        assert!(
-            (y5 - 5.0_f64.cos()).abs() < 1e-2,
-            "fallback solution inaccurate: y(5) = {y5}"
-        );
+        assert_eq!(recovery, Recovery::None);
+        let stats = trajectory.stats();
+        assert_eq!(stats.stiff_switches, 1);
+        assert_eq!(stats.recoveries, 0);
+        assert_eq!(stats.stiff_fallbacks, 0);
+        // Explicit steps would number ~λ·10/3.3 ≈ 3e7.
+        assert!(stats.accepted < 20_000, "{stats:?}");
+        // For large λ the exact solution is cos t + sin t/λ + O(1/λ²): the
+        // error-controlled stepper tracks it, dense output included, to
+        // the tolerance scale.
+        for k in 0..=100 {
+            let t = 0.1 * f64::from(k);
+            let y = trajectory.eval(t)[0];
+            let exact = t.cos() + t.sin() / lambda;
+            assert!((y - exact).abs() < 1e-7, "y({t}) = {y}, expected {exact}");
+        }
         assert_eq!(trajectory.t_start(), 0.0);
         assert_eq!(trajectory.t_end(), 10.0);
+    }
+
+    #[test]
+    fn budget_below_the_first_stiffness_sample_recovers_via_rodas_rung() {
+        // A step budget smaller than the stiffness test's sampling interval:
+        // the primary rung runs out before it can detect anything, the
+        // relaxed controller is no less stability-limited, and the third
+        // rung — Rodas4 from t0 under the same budget — finishes the span.
+        let lambda = 1e7;
+        let sys = stiff_sys(lambda);
+        let options = OdeOptions::default().with_max_steps(200);
+        let mut ws = SolverWorkspace::new();
+        let (trajectory, recovery) =
+            solve_recovering(&sys, 0.0, 0.1, &[1.0], &options, &mut ws).unwrap();
+        assert_eq!(recovery, Recovery::StiffFallback);
+        let stats = trajectory.stats();
+        assert_eq!(stats.recoveries, 1);
+        assert_eq!(stats.stiff_fallbacks, 1);
+        assert_eq!(stats.stiff_switches, 0);
+        assert!(stats.accepted + stats.rejected <= 200, "{stats:?}");
+        for k in 0..=100 {
+            let t = 0.001 * f64::from(k);
+            let y = trajectory.eval(t)[0];
+            let exact = t.cos() + t.sin() / lambda;
+            assert!((y - exact).abs() < 1e-8, "y({t}) = {y}, expected {exact}");
+        }
+    }
+
+    #[test]
+    fn nonstiff_problem_never_switches() {
+        // Exponential decay never reaches the stability boundary: every
+        // sampled test is negative, and the result is the plain solve.
+        let sys = FnSystem::new(1, |_t, y: &[f64], dy: &mut [f64]| dy[0] = -y[0]);
+        let options = OdeOptions::default().with_h_max(1e-3);
+        let direct = Dopri5::new(options).solve(&sys, 0.0, 3.0, &[1.0]).unwrap();
+        assert!(direct.stats().accepted > 1_000);
+        let mut ws = SolverWorkspace::new();
+        let (ladder, _) = solve_recovering(&sys, 0.0, 3.0, &[1.0], &options, &mut ws).unwrap();
+        assert_eq!(ladder, direct);
+        assert_eq!(ladder.stats().stiff_switches, 0);
     }
 
     #[test]
@@ -253,14 +297,5 @@ mod tests {
         let mut ws = SolverWorkspace::new();
         let r = solve_recovering(&sys, 0.0, 1.0, &[1.0], &OdeOptions::default(), &mut ws);
         assert!(matches!(r, Err(OdeError::NonFiniteDerivative { .. })), "{r:?}");
-    }
-
-    #[test]
-    fn fallback_step_count_is_bounded_and_deterministic() {
-        let o = OdeOptions::default();
-        assert_eq!(fallback_steps(0.0, 10.0, &o), fallback_steps(0.0, 10.0, &o));
-        assert!(fallback_steps(0.0, 1e-9, &o) >= 64);
-        assert!(fallback_steps(0.0, 1e12, &o) <= 50_000);
-        assert_eq!(fallback_steps(0.0, 0.0, &o), 64);
     }
 }

@@ -17,9 +17,68 @@ pub struct SolveStats {
     /// Integrations that only succeeded after at least one rung of the
     /// recovery ladder (see [`crate::recover`]). Zero for a healthy solve.
     pub recoveries: usize,
-    /// Integrations produced by the A-stable [`crate::stiff`] fallback, the
-    /// ladder's last rung. Always `<= recoveries`.
+    /// Integrations produced by the implicit [`crate::stiff::Rodas4`]
+    /// fallback, the ladder's last rung. Always `<= recoveries`.
     pub stiff_fallbacks: usize,
+    /// Primary solves that detected stiffness in the explicit drive and
+    /// handed the rest of the span to [`crate::stiff::Rodas4`]. Not a
+    /// recovery: the solve never failed.
+    pub stiff_switches: usize,
+}
+
+/// Flat knot-major arenas accumulating one integration's accepted steps:
+/// `ys[k*dim..]` and `ds[k*dim..]` are the state and derivative at `ts[k]`.
+/// Every drive (scalar Dopri5, the batched lanes, the implicit stepper)
+/// appends to one of these and moves it into a [`Trajectory`] at the end.
+#[derive(Debug, Default)]
+pub(crate) struct KnotArena {
+    pub(crate) ts: Vec<f64>,
+    pub(crate) ys: Vec<f64>,
+    pub(crate) ds: Vec<f64>,
+}
+
+impl KnotArena {
+    pub(crate) fn clear(&mut self) {
+        self.ts.clear();
+        self.ys.clear();
+        self.ds.clear();
+    }
+
+    /// Appends the knot `(t, y[:, b], d[:, b])` from structure-of-arrays
+    /// buffers of width `width` (component `i` of lane `b` at
+    /// `i * width + b`); width 1 is a plain vector.
+    pub(crate) fn push_column(
+        &mut self,
+        t: f64,
+        y: &[f64],
+        d: &[f64],
+        n: usize,
+        width: usize,
+        b: usize,
+    ) {
+        self.ts.push(t);
+        for i in 0..n {
+            self.ys.push(y[i * width + b]);
+        }
+        for i in 0..n {
+            self.ds.push(d[i * width + b]);
+        }
+    }
+
+    /// Moves the arenas into a trajectory, leaving them empty.
+    pub(crate) fn take_trajectory(
+        &mut self,
+        dim: usize,
+        stats: SolveStats,
+    ) -> Result<Trajectory, OdeError> {
+        Trajectory::from_flat(
+            dim,
+            std::mem::take(&mut self.ts),
+            std::mem::take(&mut self.ys),
+            std::mem::take(&mut self.ds),
+            stats,
+        )
+    }
 }
 
 /// A dense ODE solution on `[t_start, t_end]`.
@@ -155,7 +214,7 @@ impl Trajectory {
 
     /// Stamps this trajectory as produced by the recovery ladder: one
     /// recovered integration, plus one stiff fallback when the implicit
-    /// trapezoid rung produced it.
+    /// rung produced it.
     pub(crate) fn mark_recovered(&mut self, stiff_fallback: bool) {
         self.stats.recoveries += 1;
         if stiff_fallback {
@@ -182,6 +241,7 @@ impl Trajectory {
             rhs_evals: self.stats.rhs_evals + tail.stats.rhs_evals,
             recoveries: self.stats.recoveries + tail.stats.recoveries,
             stiff_fallbacks: self.stats.stiff_fallbacks + tail.stats.stiff_fallbacks,
+            stiff_switches: self.stats.stiff_switches + tail.stats.stiff_switches,
         };
         Ok(Trajectory {
             curve: self.curve.concat(&tail.curve)?,

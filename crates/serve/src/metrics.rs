@@ -167,6 +167,7 @@ impl ServerMetrics {
         line(&mut out, "mfcsld_engine_regime_reuses_total", engine.regime_reuses.to_string());
         line(&mut out, "mfcsld_engine_recoveries_total", engine.recoveries.to_string());
         line(&mut out, "mfcsld_engine_stiff_fallbacks_total", engine.stiff_fallbacks.to_string());
+        line(&mut out, "mfcsld_engine_stiff_switches_total", engine.stiff_switches.to_string());
         line(&mut out, "mfcsld_engine_refined_verdicts_total", engine.refined_verdicts.to_string());
         line(&mut out, "mfcsld_engine_refine_rounds_total", engine.refine_rounds.to_string());
         line(&mut out, "mfcsld_engine_prewarm_lanes_total", engine.batch_prewarmed.to_string());
@@ -212,6 +213,7 @@ mod tests {
         assert!(text.contains("mfcsld_sessions_quarantined_total 1"), "{text}");
         assert!(text.contains("mfcsld_requests_engine_errors_total 0"), "{text}");
         assert!(text.contains("mfcsld_engine_recoveries_total 0"), "{text}");
+        assert!(text.contains("mfcsld_engine_stiff_switches_total 0"), "{text}");
         assert!(text.contains("mfcsld_engine_refined_verdicts_total 0"), "{text}");
         assert!(text.contains("mfcsld_prewarm_requests_total 0"), "{text}");
         assert!(text.contains("mfcsld_simulate_requests_total 0"), "{text}");

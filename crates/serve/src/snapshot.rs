@@ -24,11 +24,11 @@
 //! its verdicts are bitwise identical to the pre-restart session's.
 //! Faulted sessions are never snapshotted.
 //!
-//! # Wire layout (version 2, little-endian)
+//! # Wire layout (version 3, little-endian)
 //!
 //! ```text
 //! magic    b"MFSS"
-//! version  u32                          (schema version, currently 2)
+//! version  u32                          (schema version, currently 3)
 //! model    u32 len + UTF-8 bytes
 //! params   u32 count × (u32 len + UTF-8 bytes, u64 value bits)
 //! fast     u8
@@ -39,8 +39,9 @@
 //!   ts     knots × u64                  (knot time bit patterns)
 //!   ys     knots·dim × u64              (state bit patterns, knot-major)
 //!   ds     knots·dim × u64              (derivative bit patterns)
-//!   stats  5 × u64                      (accepted, rejected, rhs_evals,
-//!                                        recoveries, stiff_fallbacks)
+//!   stats  6 × u64                      (accepted, rejected, rhs_evals,
+//!                                        recoveries, stiff_fallbacks,
+//!                                        stiff_switches)
 //!   regime u8 present + { dim × u64 m̃ bits, u8 has_settle, [u64 bits] }
 //!   cache {
 //!     state_keys u32 count × state-key record (tagged; children by index)
@@ -56,7 +57,7 @@
 //! Sub-records: a *piecewise-set record* is `u64 t_lo, u64 t_hi, u32
 //! boundary count × u64, u32 n_states`, then `(boundaries+1) × n_states`
 //! membership bytes. A *trajectory record* is `u32 dim, u32 knots, knots ×
-//! u64 ts, knots·dim × u64 ys, knots·dim × u64 ds, 5 × u64 stats`. A
+//! u64 ts, knots·dim × u64 ys, knots·dim × u64 ds, 6 × u64 stats`. A
 //! *curve record* is a tag byte (until / nested / sampled / point)
 //! followed by that evaluator's constructor data. Comparison operators are
 //! a byte (`<=` 0, `<` 1, `>` 2, `>=` 3).
@@ -79,8 +80,9 @@ pub const MAGIC: [u8; 4] = *b"MFSS";
 
 /// Current schema version. Bump on any layout change; readers reject other
 /// versions instead of guessing. Version 1 stored trajectories only;
-/// version 2 adds the stationary regime and the full sat-cache per entry.
-pub const VERSION: u32 = 2;
+/// version 2 adds the stationary regime and the full sat-cache per entry;
+/// version 3 adds the stiffness hand-off count to every solve's stats.
+pub const VERSION: u32 = 3;
 
 /// Structural bounds a well-formed snapshot cannot exceed; anything larger
 /// is a corrupt or hostile file and is rejected before allocation.
@@ -188,8 +190,8 @@ pub struct SnapshotEntry {
     /// Knot derivatives, same layout as `ys_bits`.
     pub ds_bits: Vec<u64>,
     /// Solve statistics: accepted, rejected, rhs_evals, recoveries,
-    /// stiff_fallbacks.
-    pub stats: [u64; 5],
+    /// stiff_fallbacks, stiff_switches.
+    pub stats: [u64; 6],
     /// The stationary regime reached from this entry's `m0`, when one was
     /// computed.
     pub regime: Option<RegimeSnapshot>,
@@ -281,6 +283,7 @@ fn encode_trajectory(out: &mut Vec<u8>, trajectory: &Trajectory) {
         stats.rhs_evals,
         stats.recoveries,
         stats.stiff_fallbacks,
+        stats.stiff_switches,
     ] {
         push_u64(out, stat as u64);
     }
@@ -558,7 +561,7 @@ impl SessionSnapshot {
             let ts_bits = cursor.u64s(knots)?;
             let ys_bits = cursor.u64s(per_knot)?;
             let ds_bits = cursor.u64s(per_knot)?;
-            let mut stats = [0u64; 5];
+            let mut stats = [0u64; 6];
             for stat in &mut stats {
                 *stat = cursor.u64()?;
             }
@@ -710,7 +713,7 @@ impl Cursor<'_> {
         let ts = self.f64s(knots)?;
         let ys = self.f64s(per_knot)?;
         let ds = self.f64s(per_knot)?;
-        let mut stats = [0u64; 5];
+        let mut stats = [0u64; 6];
         for stat in &mut stats {
             *stat = self.u64()?;
         }
@@ -720,6 +723,7 @@ impl Cursor<'_> {
             rhs_evals: usize::try_from(stats[2]).unwrap_or(usize::MAX),
             recoveries: usize::try_from(stats[3]).unwrap_or(usize::MAX),
             stiff_fallbacks: usize::try_from(stats[4]).unwrap_or(usize::MAX),
+            stiff_switches: usize::try_from(stats[5]).unwrap_or(usize::MAX),
         };
         Trajectory::from_flat(dim, ts, ys, ds, stats)
             .map_err(|e| SnapshotError(format!("bad trajectory: {e}")))
@@ -928,7 +932,7 @@ mod tests {
                     0.3f64.to_bits(),
                 ],
                 ds_bits: vec![0u64; 4],
-                stats: [10, 2, 77, 0, 0],
+                stats: [10, 2, 77, 0, 0, 1],
                 regime: Some(RegimeSnapshot {
                     distribution_bits: vec![0.25f64.to_bits(), 0.75f64.to_bits()],
                     settle_bits: Some(4.5f64.to_bits()),
@@ -1021,6 +1025,13 @@ mod tests {
         wrong[without_sum..].copy_from_slice(&sum.to_le_bytes());
         let err = SessionSnapshot::decode(&wrong).unwrap_err();
         assert!(err.to_string().contains("schema version 99"), "{err}");
+        // A version-2 file (five stats per solve, no hand-off count) is
+        // refused rather than misread.
+        wrong[4] = 2;
+        let sum = fnv1a64(&wrong[..without_sum]);
+        wrong[without_sum..].copy_from_slice(&sum.to_le_bytes());
+        let err = SessionSnapshot::decode(&wrong).unwrap_err();
+        assert!(err.to_string().contains("schema version 2"), "{err}");
 
         // Wrong magic.
         let mut bad_magic = bytes;

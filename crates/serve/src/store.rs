@@ -696,6 +696,7 @@ impl SessionStore {
                 rhs_evals: usize::try_from(entry.stats[2]).unwrap_or(usize::MAX),
                 recoveries: usize::try_from(entry.stats[3]).unwrap_or(usize::MAX),
                 stiff_fallbacks: usize::try_from(entry.stats[4]).unwrap_or(usize::MAX),
+                stiff_switches: usize::try_from(entry.stats[5]).unwrap_or(usize::MAX),
             };
             let trajectory = Trajectory::from_flat(
                 dim,
@@ -751,6 +752,7 @@ impl SessionStore {
                         stats.rhs_evals as u64,
                         stats.recoveries as u64,
                         stats.stiff_fallbacks as u64,
+                        stats.stiff_switches as u64,
                     ],
                     regime: entry.regime.map(|r| RegimeSnapshot {
                         distribution_bits: r
